@@ -216,6 +216,17 @@ def _load_dataset(cfg: ExperimentConfig, config_dir: Path | None) -> data.Datase
     return data.generate_synthetic_dataset(cfg.dataset.to_spec(), rng)
 
 
+def _check_cloud_sizes(split: data.DatasetSplit, config: RiGcnConfig) -> None:
+    """Reject a dataset holding a cloud smaller than the model's level 0, so
+    the command fails before it writes any output."""
+    need = config.resolved_level_sizes()[0]
+    for item in split.train + split.test:
+        if len(item.cloud) < need:
+            raise ConfigError(
+                f"cloud {item.source_id!r} has {len(item.cloud)} points but level 0 needs {need}"
+            )
+
+
 def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
@@ -256,12 +267,13 @@ def _model_from_args(cfg: ExperimentConfig, args) -> model_mod.RiGcnModel:
 
 def cmd_train(args) -> int:
     cfg = _apply_overrides(load_experiment_config(args.config), args)
-    out = _prepare_out(cfg)
     split = _load_dataset(cfg, Path(args.config).parent)
+    _check_cloud_sizes(split, cfg.model)
     if len(split.class_names) != cfg.model.num_classes:
         raise ConfigError(
             f"dataset has {len(split.class_names)} classes but model expects {cfg.model.num_classes}"
         )
+    out = _prepare_out(cfg)
     net = model_mod.RiGcnModel(cfg.model)
     opt = nnet.OptimizerState(kind=cfg.training.optimizer, learning_rate=cfg.training.learning_rate)
     train_clouds, train_labels = split.arrays("train")
@@ -320,9 +332,9 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _apply_overrides(load_experiment_config(args.config), args)
-    out = _prepare_out(cfg)
     net = model_mod.load_model(_require_checkpoint(args))
     split = _load_dataset(cfg, Path(args.config).parent)
+    _check_cloud_sizes(split, net.config)
     if len(split.class_names) != net.config.num_classes:
         raise ConfigError(
             f"dataset has {len(split.class_names)} classes but checkpoint expects "
@@ -332,6 +344,7 @@ def cmd_evaluate(args) -> int:
     for mode in modes:
         if mode not in ROTATION_MODES:
             raise ConfigError(f"unknown rotation mode {mode!r}")
+    out = _prepare_out(cfg)
     clouds, labels = split.arrays("test")
     fh, writer = _metrics_writer(out / "evaluation.csv")
     with fh:
@@ -361,6 +374,7 @@ def cmd_invariance_check(args) -> int:
     cfg = _apply_overrides(load_experiment_config(args.config), args)
     net = _model_from_args(cfg, args)
     split = _load_dataset(cfg, Path(args.config).parent)
+    _check_cloud_sizes(split, net.config)
     items = split.train + split.test
     rng = np.random.default_rng([cfg.seed, _STREAM_TRIALS])
     worst = 0.0
@@ -396,7 +410,6 @@ def _parse_float_list(raw: str, what: str) -> list[float]:
 
 def cmd_robustness(args) -> int:
     cfg = _apply_overrides(load_experiment_config(args.config), args)
-    out = _prepare_out(cfg)
     net = model_mod.load_model(_require_checkpoint(args))
     sigmas = _parse_float_list(args.sigmas, "sigma")
     outliers = [int(v) for v in _parse_float_list(args.outliers, "outlier")]
@@ -405,6 +418,8 @@ def cmd_robustness(args) -> int:
     if any(o < 0 for o in outliers):
         raise ConfigError("outlier counts must be >= 0")
     split = _load_dataset(cfg, Path(args.config).parent)
+    _check_cloud_sizes(split, net.config)
+    out = _prepare_out(cfg)
     clouds, labels = split.arrays("test")
     mode = cfg.training.test_rotation
 

@@ -97,69 +97,97 @@ def normalize_unit_sphere(points) -> np.ndarray:
     return centered / scale
 
 
-def _argmax_by_distance(points: np.ndarray, score: np.ndarray) -> int:
-    """Index of the max score; already-selected entries must hold -inf.
+def canonical_order(points: np.ndarray) -> np.ndarray:
+    """Indices that sort the points lexicographically by (x, y, z), then by
+    index.
 
-    Ties are broken by lexicographic coordinate order, then lowest index.
+    This order is the package's one tie rule. Wherever candidates are
+    equally far (an FPS pick, a patch member, a graph neighbor), the one
+    earlier in this order wins. Code applies the rule by laying the points
+    out in this order, where ``np.argmax`` takes the first maximum and a
+    stable ``np.argsort`` keeps equal distances in position order, so ties
+    are settled by position and never by a per-anchor pass. The order
+    depends on coordinates alone except among exact duplicates, which are
+    interchangeable, so results follow permutations of the input rows
+    exactly. It is taken per point set, not once per cloud: hierarchy levels
+    keep their anchors in pick order. ``sorted_candidates`` spells the rule
+    out one anchor at a time and serves as its reference.
     """
-    idx = int(np.argmax(score))
-    best = score[idx]
-    if np.count_nonzero(score == best) > 1:
-        ties = np.flatnonzero(score == best)
-        tp = points[ties]
-        order = np.lexsort((ties, tp[:, 2], tp[:, 1], tp[:, 0]))
-        idx = int(ties[order[0]])
-    return idx
+    return np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
 
 
-def farthest_point_sampling(points, m: int) -> np.ndarray:
+def farthest_point_sampling(points, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Greedy max-min sampling of ``m`` point indices.
 
     The first pick is the point farthest from the centroid; each later pick
-    maximizes the minimum distance to the already-selected set. All decisions
-    are distance-based, so the output is invariant to rotations and follows
-    permutations of the input order (on clouds without exact distance ties).
+    maximizes the minimum distance to the already-selected set, with ties
+    broken by ``canonical_order``. The loop runs over the points in that
+    order, centroid included, so the output follows permutations of the
+    input rows exactly. All decisions are distance-based, so the output is
+    invariant to rotations wherever no exact tie decides a pick.
+
+    Returns the picks and their (m, N) squared-distance rows: ``d2[i, j]``
+    is the squared distance from ``points[picks[i]]`` to ``points[j]``.
     """
     pts = as_cloud(points)
     n = len(pts)
     if not 1 <= m <= n:
         raise ValueError(f"sample count m={m} out of range [1, {n}]")
-    centroid = pts.mean(axis=0)
-    diff = pts - centroid
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    selected = np.empty(m, dtype=np.int64)
-    current = _argmax_by_distance(pts, d2)
-    selected[0] = current
-    if n <= 4096:  # precompute pairwise distances; cheaper than m passes
-        pair = pts[:, None, :] - pts[None, :, :]
-        pair_d2 = np.einsum("ijk,ijk->ij", pair, pair)
-
-        def row(i):
-            return pair_d2[i]
-
-    else:
-
-        def row(i):
-            diff_i = pts - pts[i]
-            return np.einsum("ij,ij->i", diff_i, diff_i)
-
-    min_d2 = row(current).copy()
-    min_d2[current] = -np.inf
-    for i in range(1, m):
-        current = _argmax_by_distance(pts, min_d2)
-        selected[i] = current
-        np.minimum(min_d2, row(current), out=min_d2)
+    order = canonical_order(pts)
+    cp = pts[order]
+    diff = cp - cp.mean(axis=0)
+    current = int(np.argmax(np.einsum("ij,ij->i", diff, diff)))
+    picks = np.empty(m, dtype=np.int64)
+    rows = np.empty((m, n))
+    min_d2 = np.full(n, np.inf)
+    for i, row in enumerate(rows):
+        picks[i] = current
+        np.subtract(cp, cp[current], out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=row)
+        np.minimum(min_d2, row, out=min_d2)
         min_d2[current] = -np.inf
-    return selected
+        current = int(np.argmax(min_d2))
+    d2 = np.empty_like(rows)
+    d2[:, order] = rows
+    return order[picks], d2
+
+
+def nearest_candidates(d2: np.ndarray, order: np.ndarray, count: int) -> np.ndarray:
+    """Per row of ``d2``, the columns of its ``count`` smallest entries in
+    ascending distance, ties broken by ``canonical_order``.
+
+    ``order`` is the canonical order of the points the columns stand for;
+    entries that must never be picked (an anchor itself) hold inf, and
+    ``count`` must be below the column count. The prefix is found by a
+    partition; a row whose last kept distance ties the next one may have
+    left tied candidates outside it, so only such rows are sorted in full.
+    """
+    m, n = d2.shape
+    rows = np.arange(m)[:, None]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    part = np.argpartition(d2, count, axis=1)[:, : count + 1]
+    part = order[np.sort(rank[part], axis=1)]
+    part_d2 = d2[rows, part]
+    sub = np.argsort(part_d2, axis=1, kind="stable")
+    out = part[rows, sub[:, :count]]
+    cut = part_d2[rows, sub[:, count - 1 :]]
+    redo = np.flatnonzero(cut[:, 0] == cut[:, 1])
+    if redo.size:
+        full = np.argsort(d2[redo][:, order], axis=1, kind="stable")
+        out[redo] = order[full[:, :count]]
+    return out
 
 
 def sorted_candidates(points: np.ndarray, anchor_index: int) -> np.ndarray:
     """All indices except the anchor, sorted by ascending distance to it.
 
-    Distance ties are broken lexicographically by coordinates, then by index.
+    Distance ties are broken by ``canonical_order``, one anchor at a time;
+    the batched paths are tested against this.
     """
     pts = points
-    d2 = ((pts - pts[anchor_index]) ** 2).sum(axis=1)
+    diff = pts - pts[anchor_index]
+    d2 = np.einsum("ij,ij->i", diff, diff)
     idx = np.arange(len(pts))
     order = np.lexsort((idx, pts[:, 2], pts[:, 1], pts[:, 0], d2))
     return order[order != anchor_index]

@@ -61,7 +61,8 @@ def build_knn_graph(
 
     The kernel bandwidth is the mean of all selected neighbor distances, so
     weights stay scale-stable across levels. The construction uses distances
-    only and is therefore rotation-invariant.
+    only and is therefore rotation-invariant; distance ties are broken by
+    ``geom.canonical_order``.
     """
     pts = geom.as_cloud(points)
     n = len(pts)
@@ -71,20 +72,12 @@ def build_knn_graph(
     if khat >= n:
         raise ValueError(f"khat={khat} must be < node count {n}")
 
-    diff = pts[:, None, :] - pts[None, :, :]
+    # Contiguous copies subtract several times faster than broadcasting over
+    # a length-3 last axis; the einsum sees the same values either way.
+    diff = (np.repeat(pts, n, axis=0) - np.tile(pts, (n, 1))).reshape(n, n, 3)
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     np.fill_diagonal(d2, np.inf)
-    prefix = min(khat + 1, n - 1)
-    part = np.argpartition(d2, prefix - 1, axis=1)[:, :prefix]
-    part_d2 = np.take_along_axis(d2, part, axis=1)
-    sub = np.argsort(part_d2, axis=1, kind="stable")
-    nbrs = np.take_along_axis(part, sub, axis=1)[:, :khat]
-    # A distance tie straddling the selection cut must follow the
-    # lexicographic rule used everywhere else, not argsort's index order.
-    if prefix > khat:
-        sorted_d2 = np.take_along_axis(part_d2, sub, axis=1)
-        for i in np.flatnonzero(sorted_d2[:, khat] == sorted_d2[:, khat - 1]):
-            nbrs[i] = geom.sorted_candidates(pts, i)[:khat]
+    nbrs = geom.nearest_candidates(d2, geom.canonical_order(pts), khat)
 
     sel_d2 = d2[np.arange(n)[:, None], nbrs]
     sigma = np.sqrt(sel_d2).mean()

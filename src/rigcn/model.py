@@ -207,19 +207,23 @@ def _per_anchor_kd(
 
 
 def _gather_patches(
-    points: np.ndarray, anchor_indices: np.ndarray, ks: np.ndarray, ds: np.ndarray
+    points: np.ndarray,
+    anchor_indices: np.ndarray,
+    d2: np.ndarray,
+    ks: np.ndarray,
+    ds: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Member indices for the k-NN and dilated patches of many anchors.
 
-    Returns (flat_knn, offsets_knn, flat_dilated, offsets_dilated) where the
-    flat arrays index into ``points``. Semantics match ``geom.dilated_knn``
-    with d=1 and d=ds[i] respectively, including clamping and padding.
+    ``d2`` holds each anchor's squared distances to every point, as returned
+    by ``geom.farthest_point_sampling``; its anchor-self entries are set to
+    inf in place. Returns (flat_knn, offsets_knn, flat_dilated,
+    offsets_dilated) where the flat arrays index into ``points``. Semantics
+    match ``geom.dilated_knn`` with d=1 and d=ds[i] respectively, including
+    clamping, padding and the tie rule of ``geom.canonical_order``.
     """
-    pts = points
-    n = len(pts)
+    n = len(points)
     m = len(anchor_indices)
-    diff = pts[anchor_indices][:, None, :] - pts[None, :, :]
-    d2 = np.einsum("mnk,mnk->mn", diff, diff)
     d2[np.arange(m), anchor_indices] = np.inf
 
     # Per-anchor sorted-list positions, replicating the clamping rule of
@@ -240,20 +244,9 @@ def _gather_patches(
     used_max = int(max(cols1.max(), colsd.max()))
 
     # Only a sorted prefix of each candidate list is ever consumed.
-    prefix = min(used_max + 2, n - 1)
-    part = np.argpartition(d2, prefix - 1, axis=1)[:, :prefix]
-    part_d2 = np.take_along_axis(d2, part, axis=1)
-    sub = np.argsort(part_d2, axis=1, kind="stable")
-    order = np.take_along_axis(part, sub, axis=1)
-    sorted_d2 = np.take_along_axis(part_d2, sub, axis=1)
-    # A distance tie anywhere in the prefix falls back to the exact
-    # lexicographic candidate ordering for that anchor.
-    for i in np.flatnonzero(np.any(np.diff(sorted_d2, axis=1) == 0.0, axis=1)):
-        exact = geom.sorted_candidates(pts, int(anchor_indices[i]))[:prefix]
-        order[i, : len(exact)] = exact
-
+    cand = geom.nearest_candidates(d2, geom.canonical_order(points), used_max + 1)
     rows = np.repeat(np.arange(m), ks)
-    return order[rows, cols1], off, order[rows, colsd], off
+    return cand[rows, cols1], off, cand[rows, colsd], off
 
 
 def _project_segments(
@@ -287,10 +280,10 @@ def extract_descriptors(
     m0 = cfg.resolved_level_sizes()[0]
     if len(points) < m0:
         raise ConfigError(f"cloud has {len(points)} points but level 0 needs {m0}")
-    sel = geom.farthest_point_sampling(points, m0)
+    sel, d2 = geom.farthest_point_sampling(points, m0)
     anchors = points[sel]
     ks, ds = _per_anchor_kd(cfg, m0, rng, stochastic)
-    flat1, off1, flatd, offd = _gather_patches(points, sel, ks, ds)
+    flat1, off1, flatd, offd = _gather_patches(points, sel, d2, ks, ds)
     if cfg.transform_scope == "global":
         axes = np.broadcast_to(np.eye(3), (m0, 3, 3)).copy()
     else:
@@ -324,11 +317,11 @@ def extend_descriptors(
         raise ConfigError(
             f"level {level} size {m_l} exceeds previous level size {len(prev.points)}"
         )
-    sel = geom.farthest_point_sampling(prev.points, m_l)
+    sel, d2 = geom.farthest_point_sampling(prev.points, m_l)
     anchors = prev.points[sel]
     axes = prev.axes[sel]
     ks, _ = _per_anchor_kd(cfg, m_l, rng, stochastic)
-    flat, off, _, _ = _gather_patches(prev.points, sel, ks, np.ones(m_l, dtype=np.int64))
+    flat, off, _, _ = _gather_patches(prev.points, sel, d2, ks, np.ones(m_l, dtype=np.int64))
     proj = _project_segments(prev.points, flat, off, anchors, axes)
     h_coord = nnet.segment_maxpool(nnet.mlp(model.g1[level], nnet.constant(proj)), off)
     h_desc = nnet.segment_maxpool(

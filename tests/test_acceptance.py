@@ -17,6 +17,8 @@ from rigcn import cli, data, geom, graph, model, nnet
 
 from test_geom import brute_force_fps
 
+pytestmark = pytest.mark.slow
+
 SEED = 7
 
 DESK_MODEL_CONFIG = model.RiGcnConfig(
@@ -160,7 +162,7 @@ class TestCriterion5FpsApproximation:
             if m > n or m < 2:
                 continue
             pts = rng.normal(size=(n, 3))
-            sel = geom.farthest_point_sampling(pts, m)
+            sel, _ = geom.farthest_point_sampling(pts, m)
             dist = lambda i, j: float(np.linalg.norm(pts[i] - pts[j]))
             fps_disp = min(dist(i, j) for i, j in itertools.combinations(sel.tolist(), 2))
             opt = max(

@@ -42,6 +42,15 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path
 
 
+def manifest_with_short_cloud(tmp_path):
+    """A generated dataset whose first cube cloud is cut to 10 points."""
+    gen_cfg = write_config(tmp_path, name="gen.json", out_dir=str(tmp_path / "ds"))
+    assert cli.main(["gen-data", "--config", str(gen_cfg)]) == 0
+    xyz = tmp_path / "ds" / "clouds" / "cube_0000.xyz"
+    xyz.write_text("".join(xyz.read_text().splitlines(keepends=True)[:10]))
+    return tmp_path / "ds" / "manifest.csv"
+
+
 def read_metrics(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -95,6 +104,13 @@ class TestTrain:
         cfg = write_config(tmp_path, model={"num_classes": 5})
         assert cli.main(["train", "--config", str(cfg)]) == 2
 
+    def test_short_manifest_cloud_exits_2_before_training(self, tmp_path, capsys):
+        manifest = manifest_with_short_cloud(tmp_path)
+        cfg = write_config(tmp_path, name="cfg2.json", dataset={"kind": "manifest", "path": str(manifest)})
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        assert "cube_0000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -146,6 +162,21 @@ class TestEvaluate:
             dataset={"classes": ["sphere", "cube"]},
         )
         assert cli.main(["evaluate", "--config", str(cfg2), "--checkpoint", str(ckpt)]) == 2
+
+    def test_short_cloud_checked_against_checkpoint_config(self, trained, tmp_path, capsys):
+        # The experiment config's level 0 (8) fits the 10-point cloud; the
+        # checkpoint's (16) does not, and the checkpoint is what runs.
+        _, ckpt, _ = trained
+        manifest = manifest_with_short_cloud(tmp_path)
+        cfg = write_config(
+            tmp_path,
+            name="cfg2.json",
+            model={"level_sizes": [8, 4]},
+            dataset={"kind": "manifest", "path": str(manifest)},
+        )
+        assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 2
+        assert "cube_0000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_requires_checkpoint(self, trained):
         cfg, _, _ = trained

@@ -80,6 +80,31 @@ class TestBuildKnnGraph:
         np.testing.assert_allclose(b.weights, a.weights[np.ix_(perm, perm)], atol=1e-12)
 
 
+class TestTiesAtTheCut:
+    @pytest.mark.parametrize("khat", [1, 3, 5, 6])
+    def test_grid_neighbor_lists_follow_the_reference(self, monkeypatch, khat):
+        # On a 5x4x2 integer grid, interior nodes have 4-6 neighbors at
+        # distance 1, so the khat-th and (khat+1)-th distances tie.
+        pts = np.array([[x, y, z] for x in range(5) for y in range(4) for z in range(2)], float)
+        pts = pts[np.random.default_rng(1).permutation(len(pts))]
+        lists = []
+        inner = geom.nearest_candidates
+
+        def capture(*args):
+            out = inner(*args)
+            lists.append(out)
+            return out
+
+        monkeypatch.setattr(geom, "nearest_candidates", capture)
+        g = graph.build_knn_graph(pts, graph.GraphParams(khat=khat), None)
+        (nbrs,) = lists
+        expected = np.array([geom.sorted_candidates(pts, i)[:khat] for i in range(len(pts))])
+        np.testing.assert_array_equal(nbrs, expected)
+        support = np.zeros_like(g.weights, dtype=bool)
+        support[np.arange(len(pts))[:, None], expected] = True
+        np.testing.assert_array_equal(g.weights > 0, support | support.T)
+
+
 class TestRenormalize:
     def test_edgeless_graph_gives_identity(self):
         g = graph.WeightedGraph(n=4, weights=np.zeros((4, 4)))

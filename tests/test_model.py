@@ -3,13 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigcn import geom, graph, model, nnet
+from rigcn import data, geom, graph, model, nnet
 
 from conftest import random_cloud, tiny_config
 
 
 def tiny_net(**overrides):
     return model.RiGcnModel(tiny_config(**overrides))
+
+
+def distance_rows(pts, anchors):
+    """Squared distances from each anchor to every point, as FPS returns them."""
+    diff = pts[anchors][:, None, :] - pts[None, :, :]
+    return np.einsum("mnk,mnk->mn", diff, diff)
 
 
 class TestConfig:
@@ -73,7 +79,7 @@ class TestExtractDescriptors:
         # candidate prefix, duplicate it, and expect bitwise equality
         net = tiny_net(levels=1, level_sizes=(6,), channels=(8,), k_range=(3, 3), d_range=(1, 1))
         pts = random_cloud(3, 64)
-        sel = geom.farthest_point_sampling(pts, 6)
+        sel, _ = geom.farthest_point_sampling(pts, 6)
         used = set(sel.tolist())
         for anchor in sel:
             cand = geom.sorted_candidates(pts, int(anchor))
@@ -94,7 +100,7 @@ class TestExtractDescriptors:
         anchors = np.array([0, 7, 31])
         ks = np.array([5, 3, 7])
         ds = np.array([2, 1, 3])
-        flat1, off1, flatd, offd = model._gather_patches(pts, anchors, ks, ds)
+        flat1, off1, flatd, offd = model._gather_patches(pts, anchors, distance_rows(pts, anchors), ks, ds)
         for i, (a, k, d) in enumerate(zip(anchors, ks, ds)):
             knn = geom.dilated_knn(pts, int(a), geom.NeighborParams(int(k), 1))
             dil = geom.dilated_knn(pts, int(a), geom.NeighborParams(int(k), int(d)))
@@ -107,7 +113,7 @@ class TestExtractDescriptors:
         anchors = np.arange(len(pts))
         ks = np.full(len(pts), 4)
         ds = np.full(len(pts), 2)
-        flat1, off1, flatd, offd = model._gather_patches(pts, anchors, ks, ds)
+        flat1, off1, flatd, offd = model._gather_patches(pts, anchors, distance_rows(pts, anchors), ks, ds)
         for i in range(len(pts)):
             knn = geom.dilated_knn(pts, i, geom.NeighborParams(4, 1))
             dil = geom.dilated_knn(pts, i, geom.NeighborParams(4, 2))
@@ -115,11 +121,54 @@ class TestExtractDescriptors:
             np.testing.assert_array_equal(flatd[offd[i] : offd[i + 1]], dil.member_indices)
 
 
+    @pytest.mark.parametrize("k, d", [(3, 1), (5, 1), (4, 2), (6, 2)])
+    def test_patch_gather_matches_when_a_tie_straddles_the_prefix(self, k, d):
+        # Integer grid with a duplicated point: distance shells hold 4-6
+        # points, so the last used position ties with unused candidates.
+        pts = np.array([[x, y, z] for x in range(4) for y in range(4) for z in range(3)], float)
+        pts = np.vstack([pts, pts[17]])
+        pts = pts[np.random.default_rng(2).permutation(len(pts))]
+        sel, d2 = geom.farthest_point_sampling(pts, 12)
+        ks = np.full(len(sel), k)
+        ds = np.full(len(sel), d)
+        flat1, off1, flatd, offd = model._gather_patches(pts, sel, d2, ks, ds)
+        for i, a in enumerate(sel):
+            knn = geom.dilated_knn(pts, int(a), geom.NeighborParams(k, 1))
+            dil = geom.dilated_knn(pts, int(a), geom.NeighborParams(k, d))
+            np.testing.assert_array_equal(flat1[off1[i] : off1[i + 1]], knn.member_indices)
+            np.testing.assert_array_equal(flatd[offd[i] : offd[i + 1]], dil.member_indices)
+
+
+class TestQuantizedScan:
+    def test_no_fallback_and_bitwise_permutation_invariance(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("production path took the single-anchor fallback")
+
+        monkeypatch.setattr(geom, "sorted_candidates", fail)
+        rng = np.random.default_rng(5)
+        cube = geom.normalize_unit_sphere(data.FAMILIES["cube"](rng, 1024))
+        rotated = geom.rotate(cube, geom.random_rotation(rng, "so3"))
+        pts = np.round(rotated * 32) / 32
+        net = tiny_net(
+            num_points=1024,
+            levels=3,
+            level_sizes=(128, 32, 8),
+            channels=(8, 16, 16),
+            k_range=(8, 16),
+            d_range=(1, 2),
+            khat_range=(4, 8),
+        )
+        out = model.logits(net, pts)
+        assert np.all(np.isfinite(out))
+        perm = rng.permutation(len(pts))
+        np.testing.assert_array_equal(model.logits(net, pts[perm]), out)
+
+
 class TestExtendDescriptors:
     def test_axes_are_reused_bitwise(self, cloud, tiny_model):
         d0 = model.extract_descriptors(tiny_model, cloud, None, False)
         d1 = model.extend_descriptors(tiny_model, d0, 1, None, False)
-        sel = geom.farthest_point_sampling(d0.points, len(d1.points))
+        sel, _ = geom.farthest_point_sampling(d0.points, len(d1.points))
         np.testing.assert_array_equal(d1.axes, d0.axes[sel])
         np.testing.assert_array_equal(d1.points, d0.points[sel])
 
