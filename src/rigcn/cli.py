@@ -216,15 +216,17 @@ def _load_dataset(cfg: ExperimentConfig, config_dir: Path | None) -> data.Datase
     return data.generate_synthetic_dataset(cfg.dataset.to_spec(), rng)
 
 
-def _check_cloud_sizes(split: data.DatasetSplit, config: RiGcnConfig) -> None:
-    """Reject a dataset holding a cloud smaller than the model's level 0, so
-    the command fails before it writes any output."""
+def _check_cloud_size(source: str, cloud: np.ndarray, config: RiGcnConfig) -> None:
+    """Reject a cloud smaller than the model's level 0, so the command fails
+    before it writes any output."""
     need = config.resolved_level_sizes()[0]
+    if len(cloud) < need:
+        raise ConfigError(f"cloud {source!r} has {len(cloud)} points but level 0 needs {need}")
+
+
+def _check_cloud_sizes(split: data.DatasetSplit, config: RiGcnConfig) -> None:
     for item in split.train + split.test:
-        if len(item.cloud) < need:
-            raise ConfigError(
-                f"cloud {item.source_id!r} has {len(item.cloud)} points but level 0 needs {need}"
-            )
+        _check_cloud_size(item.source_id, item.cloud, config)
 
 
 def _format_float(x: float) -> str:
@@ -457,13 +459,14 @@ def cmd_robustness(args) -> int:
 
 def cmd_export_graphs(args) -> int:
     cfg = _apply_overrides(load_experiment_config(args.config), args)
-    out = _prepare_out(cfg)
     net = _model_from_args(cfg, args)
     pts = geom.normalize_unit_sphere(data.read_xyz(args.cloud))
+    _check_cloud_size(str(args.cloud), pts, net.config)
+    out = _prepare_out(cfg)
     descs = model_mod.level_descriptors(net, pts, None, stochastic=False)
     for desc in descs:
         params = model_mod.level_graph_params(net.config, len(desc.points), stochastic=False)
-        g = graph.build_knn_graph(desc.points, params, None)
+        g = graph.build_knn_graph(desc.points, desc.block, params, None)
         nodes = out / f"level{desc.level}_nodes.txt"
         edges = out / f"level{desc.level}_edges.txt"
         graph.write_graph_files(desc.points, g, nodes, edges)

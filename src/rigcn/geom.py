@@ -116,7 +116,36 @@ def canonical_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
 
 
-def farthest_point_sampling(points, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _sum_of_squares(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared lengths of the planar (3, ...) differences ``diff``, which
+    are squared in place.
+
+    The sum is taken as ``(dx**2 + dz**2) + dy**2``, the order in which
+    numpy's ``einsum("ij,ij->i")`` adds a length-3 axis: the two agreed
+    bitwise on 100k random rows and on every benchmark cloud, so distances,
+    and the logits built on them, round exactly as with that einsum.
+    """
+    np.multiply(diff, diff, out=diff)
+    out = np.add(diff[0], diff[2], out=out)
+    out += diff[1]
+    return out
+
+
+def squared_distances(points) -> np.ndarray:
+    """The (N, N) squared distances between the points, in input order.
+
+    A forward pass computes distances only inside
+    ``farthest_point_sampling`` and hands blocks of its rows down the
+    hierarchy; this is the same computation for callers that hold only
+    points.
+    """
+    planar = as_cloud(points).T
+    return _sum_of_squares(planar[:, None, :] - planar[:, :, None])
+
+
+def farthest_point_sampling(
+    points, m: int, block: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Greedy max-min sampling of ``m`` point indices.
 
     The first pick is the point farthest from the centroid; each later pick
@@ -126,56 +155,68 @@ def farthest_point_sampling(points, m: int) -> tuple[np.ndarray, np.ndarray]:
     input rows exactly. All decisions are distance-based, so the output is
     invariant to rotations wherever no exact tie decides a pick.
 
-    Returns the picks and their (m, N) squared-distance rows: ``d2[i, j]``
-    is the squared distance from ``points[picks[i]]`` to ``points[j]``.
+    Returns the picks, their (m, N) squared-distance rows with columns in
+    canonical order, and that order: ``rows[i, c]`` is the squared distance
+    from ``points[picks[i]]`` to ``points[order[c]]``. Given ``block``, the
+    points' own (N, N) squared distances in input order, the rows are read
+    from it and no distance between two points is computed.
     """
     pts = as_cloud(points)
     n = len(pts)
     if not 1 <= m <= n:
         raise ValueError(f"sample count m={m} out of range [1, {n}]")
+    if block is not None and block.shape != (n, n):
+        raise ValueError(f"distance block has shape {block.shape}, expected {(n, n)}")
     order = canonical_order(pts)
     cp = pts[order]
-    diff = cp - cp.mean(axis=0)
-    current = int(np.argmax(np.einsum("ij,ij->i", diff, diff)))
+    planar = np.ascontiguousarray(cp.T)
+    diff = planar - cp.mean(axis=0)[:, None]
+    current = int(_sum_of_squares(diff).argmax())
     picks = np.empty(m, dtype=np.int64)
     rows = np.empty((m, n))
     min_d2 = np.full(n, np.inf)
+    # One subtraction per coordinate: broadcasting a (3, 1) column over the
+    # planar array costs several times more per call.
+    coords = tuple(zip(planar, diff))
     for i, row in enumerate(rows):
         picks[i] = current
-        np.subtract(cp, cp[current], out=diff)
-        np.einsum("ij,ij->i", diff, diff, out=row)
+        if block is None:
+            for axis, delta in coords:
+                np.subtract(axis, axis[current], out=delta)
+            _sum_of_squares(diff, out=row)
+        else:
+            np.take(block[order[current]], order, out=row)
         np.minimum(min_d2, row, out=min_d2)
         min_d2[current] = -np.inf
-        current = int(np.argmax(min_d2))
-    d2 = np.empty_like(rows)
-    d2[:, order] = rows
-    return order[picks], d2
+        current = int(min_d2.argmax())
+    return order[picks], rows, order
 
 
-def nearest_candidates(d2: np.ndarray, order: np.ndarray, count: int) -> np.ndarray:
+def nearest_candidates(d2: np.ndarray, count: int) -> np.ndarray:
     """Per row of ``d2``, the columns of its ``count`` smallest entries in
-    ascending distance, ties broken by ``canonical_order``.
+    ascending distance, ties going to the lower column.
 
-    ``order`` is the canonical order of the points the columns stand for;
-    entries that must never be picked (an anchor itself) hold inf, and
-    ``count`` must be below the column count. The prefix is found by a
-    partition; a row whose last kept distance ties the next one may have
-    left tied candidates outside it, so only such rows are sorted in full.
+    Columns stand for points in ``canonical_order``, so the column tie rule
+    is the package's one. Entries that must never be picked (an anchor
+    itself) hold inf, and ``count`` must be below the column count. The
+    prefix is found by a partition; a row whose last kept distance ties the
+    next one may have left tied candidates outside it, so for such rows
+    every candidate at or below the cut distance is ranked again.
     """
-    m, n = d2.shape
-    rows = np.arange(m)[:, None]
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    part = np.argpartition(d2, count, axis=1)[:, : count + 1]
-    part = order[np.sort(rank[part], axis=1)]
+    rows = np.arange(len(d2))[:, None]
+    part = np.sort(np.argpartition(d2, count, axis=1)[:, : count + 1], axis=1)
     part_d2 = d2[rows, part]
     sub = np.argsort(part_d2, axis=1, kind="stable")
     out = part[rows, sub[:, :count]]
     cut = part_d2[rows, sub[:, count - 1 :]]
     redo = np.flatnonzero(cut[:, 0] == cut[:, 1])
     if redo.size:
-        full = np.argsort(d2[redo][:, order], axis=1, kind="stable")
-        out[redo] = order[full[:, :count]]
+        redo_d2 = d2[redo]
+        r, c = np.nonzero(redo_d2 <= cut[redo, :1])
+        # By row, then distance; lexsort is stable, so ties keep column order.
+        ranked = c[np.lexsort((redo_d2[r, c], r))]
+        starts = np.searchsorted(r, np.arange(len(redo)))
+        out[redo] = ranked[starts[:, None] + np.arange(count)]
     return out
 
 
@@ -186,8 +227,7 @@ def sorted_candidates(points: np.ndarray, anchor_index: int) -> np.ndarray:
     the batched paths are tested against this.
     """
     pts = points
-    diff = pts - pts[anchor_index]
-    d2 = np.einsum("ij,ij->i", diff, diff)
+    d2 = squared_distances(pts)[anchor_index]
     idx = np.arange(len(pts))
     order = np.lexsort((idx, pts[:, 2], pts[:, 1], pts[:, 0], d2))
     return order[order != anchor_index]

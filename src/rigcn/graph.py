@@ -54,12 +54,14 @@ def resolve_khat(params: GraphParams, rng: np.random.Generator | None) -> int:
 
 
 def build_knn_graph(
-    points, params: GraphParams, rng: np.random.Generator | None = None
+    points, d2: np.ndarray, params: GraphParams, rng: np.random.Generator | None = None
 ) -> WeightedGraph:
     """Directed khat-NN edges with Gaussian-smoothed distance weights,
     symmetrized by taking the larger direction.
 
-    The kernel bandwidth is the mean of all selected neighbor distances, so
+    ``d2`` holds the points' squared distances to each other, as a level's
+    ``DescriptorSet.block`` or ``geom.squared_distances`` gives them. The
+    kernel bandwidth is the mean of all selected neighbor distances, so
     weights stay scale-stable across levels. The construction uses distances
     only and is therefore rotation-invariant; distance ties are broken by
     ``geom.canonical_order``.
@@ -68,16 +70,16 @@ def build_knn_graph(
     n = len(pts)
     if n < 2:
         raise DegenerateGraphError(f"need >= 2 nodes for a graph, got {n}")
+    if d2.shape != (n, n):
+        raise ValueError(f"distance block has shape {d2.shape}, expected {(n, n)}")
     khat = resolve_khat(params, rng)
     if khat >= n:
         raise ValueError(f"khat={khat} must be < node count {n}")
 
-    # Contiguous copies subtract several times faster than broadcasting over
-    # a length-3 last axis; the einsum sees the same values either way.
-    diff = (np.repeat(pts, n, axis=0) - np.tile(pts, (n, 1))).reshape(n, n, 3)
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(d2, np.inf)
-    nbrs = geom.nearest_candidates(d2, geom.canonical_order(pts), khat)
+    order = geom.canonical_order(pts)
+    d2 = d2[:, order]
+    d2[order, np.arange(n)] = np.inf
+    nbrs = geom.nearest_candidates(d2, khat)
 
     sel_d2 = d2[np.arange(n)[:, None], nbrs]
     sigma = np.sqrt(sel_d2).mean()
@@ -85,7 +87,7 @@ def build_knn_graph(
     w = np.exp(-sel_d2 / denom)
 
     directed = np.zeros((n, n))
-    directed[np.arange(n)[:, None], nbrs] = w
+    directed[np.arange(n)[:, None], order[nbrs]] = w
     weights = np.maximum(directed, directed.T)
     np.fill_diagonal(weights, 0.0)
     return WeightedGraph(n=n, weights=weights)

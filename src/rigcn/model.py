@@ -119,13 +119,20 @@ def config_from_dict(data: dict) -> RiGcnConfig:
 
 @dataclass
 class DescriptorSet:
-    """Representative points of one level with their reused principal axes
-    and per-point feature rows (the level's graph signal)."""
+    """Representative points of one level with their reused principal axes,
+    per-point feature rows (the level's graph signal) and squared distances
+    between the points, ``block[i, j]`` from point i to point j.
+
+    The block is a block of the rows the level's sampling computed; the
+    next level's sampling and the level's graph read it instead of
+    computing distances again.
+    """
 
     level: int
     points: np.ndarray
     axes: np.ndarray
     features: nnet.Node
+    block: np.ndarray
 
 
 class RiGcnModel:
@@ -206,25 +213,39 @@ def _per_anchor_kd(
     return ks, ds
 
 
+def _sample(
+    points: np.ndarray, m: int, block: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """FPS anchors of a level with everything its patches and its graph
+    read: (anchor indices, their distance rows with columns in canonical
+    order, that order, the anchors' positions in it, the anchors' own
+    distance block)."""
+    sel, d2, order = geom.farthest_point_sampling(points, m, block)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    pos = rank[sel]
+    return sel, d2, order, pos, d2[:, pos]
+
+
 def _gather_patches(
-    points: np.ndarray,
-    anchor_indices: np.ndarray,
     d2: np.ndarray,
+    order: np.ndarray,
+    pos: np.ndarray,
     ks: np.ndarray,
     ds: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Member indices for the k-NN and dilated patches of many anchors.
 
-    ``d2`` holds each anchor's squared distances to every point, as returned
-    by ``geom.farthest_point_sampling``; its anchor-self entries are set to
-    inf in place. Returns (flat_knn, offsets_knn, flat_dilated,
-    offsets_dilated) where the flat arrays index into ``points``. Semantics
-    match ``geom.dilated_knn`` with d=1 and d=ds[i] respectively, including
-    clamping, padding and the tie rule of ``geom.canonical_order``.
+    ``d2`` holds each anchor's squared distances to every point, columns in
+    the canonical order ``order``, as ``geom.farthest_point_sampling``
+    returns them; ``pos`` is each anchor's column, and these self entries
+    are set to inf in place. Returns (flat_knn, offsets_knn, flat_dilated,
+    offsets_dilated) where the flat arrays index the points in input order.
+    Semantics match ``geom.dilated_knn`` with d=1 and d=ds[i] respectively,
+    including clamping, padding and the tie rule of ``geom.canonical_order``.
     """
-    n = len(points)
-    m = len(anchor_indices)
-    d2[np.arange(m), anchor_indices] = np.inf
+    m, n = d2.shape
+    d2[np.arange(m), pos] = np.inf
 
     # Per-anchor sorted-list positions, replicating the clamping rule of
     # ``geom.dilated_positions``; padding repeats position 0, so every patch
@@ -244,7 +265,7 @@ def _gather_patches(
     used_max = int(max(cols1.max(), colsd.max()))
 
     # Only a sorted prefix of each candidate list is ever consumed.
-    cand = geom.nearest_candidates(d2, geom.canonical_order(points), used_max + 1)
+    cand = order[geom.nearest_candidates(d2, used_max + 1)]
     rows = np.repeat(np.arange(m), ks)
     return cand[rows, cols1], off, cand[rows, colsd], off
 
@@ -280,10 +301,10 @@ def extract_descriptors(
     m0 = cfg.resolved_level_sizes()[0]
     if len(points) < m0:
         raise ConfigError(f"cloud has {len(points)} points but level 0 needs {m0}")
-    sel, d2 = geom.farthest_point_sampling(points, m0)
+    sel, d2, order, pos, block = _sample(points, m0, None)
     anchors = points[sel]
     ks, ds = _per_anchor_kd(cfg, m0, rng, stochastic)
-    flat1, off1, flatd, offd = _gather_patches(points, sel, d2, ks, ds)
+    flat1, off1, flatd, offd = _gather_patches(d2, order, pos, ks, ds)
     if cfg.transform_scope == "global":
         axes = np.broadcast_to(np.eye(3), (m0, 3, 3)).copy()
     else:
@@ -293,7 +314,7 @@ def extract_descriptors(
     h1 = nnet.segment_maxpool(nnet.mlp(model.g1[0], nnet.constant(proj1)), off1)
     hd = nnet.segment_maxpool(nnet.mlp(model.g2, nnet.constant(projd)), offd)
     features = nnet.mlp(model.f[0], nnet.concat_cols([h1, hd]))
-    return DescriptorSet(level=0, points=anchors, axes=axes, features=features)
+    return DescriptorSet(level=0, points=anchors, axes=axes, features=features, block=block)
 
 
 def extend_descriptors(
@@ -317,18 +338,18 @@ def extend_descriptors(
         raise ConfigError(
             f"level {level} size {m_l} exceeds previous level size {len(prev.points)}"
         )
-    sel, d2 = geom.farthest_point_sampling(prev.points, m_l)
+    sel, d2, order, pos, block = _sample(prev.points, m_l, prev.block)
     anchors = prev.points[sel]
     axes = prev.axes[sel]
     ks, _ = _per_anchor_kd(cfg, m_l, rng, stochastic)
-    flat, off, _, _ = _gather_patches(prev.points, sel, d2, ks, np.ones(m_l, dtype=np.int64))
+    flat, off, _, _ = _gather_patches(d2, order, pos, ks, np.ones(m_l, dtype=np.int64))
     proj = _project_segments(prev.points, flat, off, anchors, axes)
     h_coord = nnet.segment_maxpool(nnet.mlp(model.g1[level], nnet.constant(proj)), off)
     h_desc = nnet.segment_maxpool(
         nnet.mlp(model.h[level], nnet.gather_rows(prev.features, flat)), off
     )
     features = nnet.mlp(model.f[level], nnet.concat_cols([h_coord, h_desc]))
-    return DescriptorSet(level=level, points=anchors, axes=axes, features=features)
+    return DescriptorSet(level=level, points=anchors, axes=axes, features=features, block=block)
 
 
 def level_graph_params(config: RiGcnConfig, n_nodes: int, stochastic: bool) -> graph.GraphParams:
@@ -353,7 +374,7 @@ def abstract_level(
     w = model.gcn_w[desc.level]
     if model.config.abstraction == "gcn":
         params = level_graph_params(model.config, n, stochastic)
-        g = graph.build_knn_graph(desc.points, params, rng)
+        g = graph.build_knn_graph(desc.points, desc.block, params, rng)
         h = nnet.gcn_layer(graph.renormalize(g).entries, desc.features, w)
     else:
         h = nnet.relu(nnet.linear(w, desc.features))

@@ -10,11 +10,14 @@ and softmax cross-entropy.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 CHECKPOINT_MAGIC = b"RIGCN1\n"
+CHECKPOINT_VERSION = 1
 
 
 class ShapeError(ValueError):
@@ -332,20 +335,27 @@ def save_checkpoint(path, config: dict, params: list[Parameter]) -> None:
     """Write a deterministic binary container: JSON header + raw float64.
 
     Byte-for-byte reproducible for identical inputs, and round-trips values
-    bitwise.
+    bitwise. The file is written next to ``path`` under a temporary name and
+    renamed into place, so ``path`` never holds a partial checkpoint.
     """
     header = {
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "config": config,
         "params": [{"name": p.name, "shape": list(p.value.shape)} for p in params],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        for p in params:
-            fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(len(blob).to_bytes(8, "little"))
+            fh.write(blob)
+            for p in params:
+                fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -356,6 +366,12 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise ValueError(f"not a checkpoint file: {path}")
         size = int.from_bytes(fh.read(8), "little")
         header = json.loads(fh.read(size).decode("utf-8"))
+        version = header.get("version") if isinstance(header, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(
+                f"unsupported checkpoint version {version!r} "
+                f"(expected {CHECKPOINT_VERSION}): {path}"
+            )
         values: dict[str, np.ndarray] = {}
         for entry in header["params"]:
             shape = tuple(entry["shape"])
@@ -364,4 +380,6 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             if len(raw) != n * 8:
                 raise ValueError(f"truncated checkpoint: {path}")
             values[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise ValueError(f"trailing bytes after the last parameter: {path}")
     return header["config"], values

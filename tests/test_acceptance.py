@@ -162,7 +162,7 @@ class TestCriterion5FpsApproximation:
             if m > n or m < 2:
                 continue
             pts = rng.normal(size=(n, 3))
-            sel, _ = geom.farthest_point_sampling(pts, m)
+            sel, _, _ = geom.farthest_point_sampling(pts, m)
             dist = lambda i, j: float(np.linalg.norm(pts[i] - pts[j]))
             fps_disp = min(dist(i, j) for i, j in itertools.combinations(sel.tolist(), 2))
             opt = max(
@@ -185,7 +185,7 @@ class TestCriterion6RenormalizedAdjacency:
             n = int(rng.integers(2, 24))
             pts = rng.normal(size=(n, 3))
             khat = int(rng.integers(1, n))
-            g = graph.build_knn_graph(pts, graph.GraphParams(khat=khat), None)
+            g = graph.build_knn_graph(pts, geom.squared_distances(pts), graph.GraphParams(khat=khat), None)
             a_hat = graph.renormalize(g).entries
             worst_asym = max(worst_asym, float(np.abs(a_hat - a_hat.T).max()))
             worst_radius = max(worst_radius, float(np.abs(np.linalg.eigvalsh(a_hat)).max()))

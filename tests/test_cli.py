@@ -182,6 +182,15 @@ class TestEvaluate:
         cfg, _, _ = trained
         assert cli.main(["evaluate", "--config", str(cfg)]) == 2
 
+    def test_checkpoint_with_trailing_bytes_exits_2(self, trained, tmp_path, capsys):
+        _, ckpt, _ = trained
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(ckpt.read_bytes() + b"x")
+        cfg = write_config(tmp_path)
+        assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(bad)]) == 2
+        assert "trailing" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestInvarianceCheck:
     def test_fresh_init_passes(self, tmp_path):
@@ -325,6 +334,23 @@ class TestExportGraphs:
         first = {p.name: p.read_bytes() for p in out.glob("level*")}
         assert cli.main(args) == 0
         assert {p.name: p.read_bytes() for p in out.glob("level*")} == first
+
+
+    @pytest.mark.parametrize("with_checkpoint", [False, True])
+    def test_short_cloud_exits_2_before_writing(self, trained, tmp_path, capsys, with_checkpoint):
+        # With the checkpoint loaded, the experiment config's level 0 (8)
+        # fits the 10-point cloud; the checkpoint's (16), which runs, does not.
+        _, ckpt, _ = trained
+        cfg = write_config(tmp_path, model={"level_sizes": [8, 4]} if with_checkpoint else {})
+        cloud_path = tmp_path / "short.xyz"
+        data.write_xyz(np.random.default_rng(2).normal(size=(10, 3)), cloud_path)
+        out = tmp_path / "graphs"
+        args = ["export-graphs", "--config", str(cfg), "--cloud", str(cloud_path), "--out", str(out)]
+        if with_checkpoint:
+            args += ["--checkpoint", str(ckpt)]
+        assert cli.main(args) == 2
+        assert "short.xyz" in capsys.readouterr().err
+        assert not (out / "config.json").exists()
 
 
 class TestGradcheck:

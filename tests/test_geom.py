@@ -63,7 +63,7 @@ def brute_force_fps(points: np.ndarray, m: int) -> list[int]:
 
 class TestFarthestPointSampling:
     def test_m_equals_n_selects_everything(self, cloud):
-        sel, _ = geom.farthest_point_sampling(cloud, len(cloud))
+        sel, _, _ = geom.farthest_point_sampling(cloud, len(cloud))
         assert sorted(sel) == list(range(len(cloud)))
 
     def test_single_pick_is_farthest_from_centroid(self):
@@ -74,7 +74,7 @@ class TestFarthestPointSampling:
         # x = 0..9; centroid tie between 0 and 9 resolved lexicographically,
         # then 9, then 4 beats 5 on the tie at distance 4.
         pts = [[float(x), 0.0, 0.0] for x in range(10)]
-        sel, _ = geom.farthest_point_sampling(pts, 3)
+        sel, _, _ = geom.farthest_point_sampling(pts, 3)
         assert sel.tolist() == [0, 9, 4]
         assert sel.tolist() == brute_force_fps(pts, 3)[:3]
 
@@ -88,21 +88,24 @@ class TestFarthestPointSampling:
     @settings(max_examples=40, deadline=None)
     def test_matches_reference_greedy(self, seed, m):
         pts = np.random.default_rng(seed).normal(size=(12, 3))
-        sel, _ = geom.farthest_point_sampling(pts, m)
+        sel, _, _ = geom.farthest_point_sampling(pts, m)
         assert sel.tolist() == brute_force_fps(pts, m)
 
     @given(
         st.integers(0, 10_000),
-        st.sampled_from(["quarter_grid", "duplicates", "collinear"]),
+        st.sampled_from(["generic", "quarter_grid", "duplicates", "collinear"]),
         st.sampled_from([2, 4, 8, 16]),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_matches_reference_greedy_on_ties(self, seed, kind, n):
         # Dyadic coordinates and a power-of-two size keep the centroid and
         # every distance exact, so ties are exact ties in both computations
-        # rather than rounding accidents.
+        # rather than rounding accidents; at 2**-20 resolution the generic
+        # cloud has no ties besides the centroid one that n=2 forces.
         rng = np.random.default_rng(seed)
-        if kind == "quarter_grid":
+        if kind == "generic":
+            pts = rng.integers(-(2**20), 2**20 + 1, size=(n, 3)) / 2.0**20
+        elif kind == "quarter_grid":
             pts = rng.integers(-4, 5, size=(n, 3)) / 4.0
         elif kind == "duplicates":
             base = rng.integers(-8, 9, size=(max(1, n // 3), 3)) / 8.0
@@ -110,24 +113,37 @@ class TestFarthestPointSampling:
         else:
             pts = rng.integers(-6, 7, size=(n, 1)) * np.array([[0.25, 0.5, -0.75]]) + 0.5
         m = int(rng.integers(1, n + 1))
-        sel, _ = geom.farthest_point_sampling(pts, m)
+        sel, rows, order = geom.farthest_point_sampling(pts, m)
         assert sel.tolist() == brute_force_fps(pts, m)
+        # One distance definition: the rows are the helper's, bitwise, and
+        # sampling from the helper's block repeats the picks and the rows.
+        block = geom.squared_distances(pts)
+        np.testing.assert_array_equal(rows, block[sel][:, order])
+        from_block = geom.farthest_point_sampling(pts, m, block)
+        for got, want in zip(from_block, (sel, rows, order)):
+            np.testing.assert_array_equal(got, want)
 
     def test_distance_rows(self):
         pts = random_cloud(4, 30)
-        sel, d2 = geom.farthest_point_sampling(pts, 7)
+        sel, d2, order = geom.farthest_point_sampling(pts, 7)
         assert d2.shape == (7, 30)
+        np.testing.assert_array_equal(order, geom.canonical_order(pts))
         for row, i in zip(d2, sel):
-            diff = pts - pts[i]
+            diff = pts[order] - pts[i]
             np.testing.assert_array_equal(row, np.einsum("ij,ij->i", diff, diff))
+
+    def test_block_must_match_the_points(self):
+        pts = random_cloud(4, 10)
+        with pytest.raises(ValueError):
+            geom.farthest_point_sampling(pts, 3, geom.squared_distances(pts[:9]))
 
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
     def test_rotation_invariance(self, seed):
         pts = random_cloud(seed, 40)
         rot = geom.random_rotation(np.random.default_rng(seed + 1), "so3")
-        a, _ = geom.farthest_point_sampling(pts, 10)
-        b, _ = geom.farthest_point_sampling(geom.rotate(pts, rot), 10)
+        a, _, _ = geom.farthest_point_sampling(pts, 10)
+        b, _, _ = geom.farthest_point_sampling(geom.rotate(pts, rot), 10)
         assert a.tolist() == b.tolist()
 
     @given(st.integers(0, 500))
@@ -135,8 +151,8 @@ class TestFarthestPointSampling:
     def test_permutation_invariance(self, seed):
         pts = random_cloud(seed, 30)
         perm = np.random.default_rng(seed + 7).permutation(len(pts))
-        sel, _ = geom.farthest_point_sampling(pts, 8)
-        sel_perm, _ = geom.farthest_point_sampling(pts[perm], 8)
+        sel, _, _ = geom.farthest_point_sampling(pts, 8)
+        sel_perm, _, _ = geom.farthest_point_sampling(pts[perm], 8)
         # index i in the permuted cloud refers to original point perm[i]
         assert perm[sel_perm].tolist() == sel.tolist()
 
@@ -148,7 +164,7 @@ class TestFarthestPointSampling:
             if m > n:
                 continue
             pts = rng.normal(size=(n, 3))
-            sel, _ = geom.farthest_point_sampling(pts, m)
+            sel, _, _ = geom.farthest_point_sampling(pts, m)
             d = lambda i, j: np.linalg.norm(pts[i] - pts[j])
             fps_disp = min(d(i, j) for i, j in itertools.combinations(sel, 2))
             opt = max(

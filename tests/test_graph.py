@@ -3,9 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigcn import geom, graph
+from rigcn import geom, graph, model
 
-from conftest import random_cloud
+from conftest import random_cloud, tiny_config
+
+
+def knn_graph(pts, params, rng=None):
+    """The graph over a point set, given its distances from the helper."""
+    return graph.build_knn_graph(pts, geom.squared_distances(pts), params, rng)
 
 
 def dense_renormalize_oracle(weights: np.ndarray) -> np.ndarray:
@@ -19,7 +24,7 @@ def dense_renormalize_oracle(weights: np.ndarray) -> np.ndarray:
 class TestBuildKnnGraph:
     def test_two_points_single_edge_weight(self):
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0]])
-        g = graph.build_knn_graph(pts, graph.GraphParams(khat=1), None)
+        g = knn_graph(pts, graph.GraphParams(khat=1), None)
         # the kernel bandwidth equals the only distance, so exp(-1/2)
         assert g.weights[0, 1] == pytest.approx(np.exp(-0.5), abs=1e-15)
         assert g.weights[1, 0] == g.weights[0, 1]
@@ -27,42 +32,42 @@ class TestBuildKnnGraph:
 
     def test_coincident_points_edge_weight_one(self):
         pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [5.0, 0, 0], [9.0, 0, 0]])
-        g = graph.build_knn_graph(pts, graph.GraphParams(khat=1), None)
+        g = knn_graph(pts, graph.GraphParams(khat=1), None)
         assert g.weights[0, 1] == 1.0
 
     def test_rotation_invariance(self):
         pts = random_cloud(3, 20)
         rot = geom.random_rotation(np.random.default_rng(4), "so3")
-        a = graph.build_knn_graph(pts, graph.GraphParams(khat=4), None)
-        b = graph.build_knn_graph(geom.rotate(pts, rot), graph.GraphParams(khat=4), None)
+        a = knn_graph(pts, graph.GraphParams(khat=4), None)
+        b = knn_graph(geom.rotate(pts, rot), graph.GraphParams(khat=4), None)
         np.testing.assert_allclose(a.weights, b.weights, atol=1e-12)
 
     def test_khat_must_be_below_node_count(self):
         with pytest.raises(ValueError):
-            graph.build_knn_graph(random_cloud(0, 5), graph.GraphParams(khat=5), None)
+            knn_graph(random_cloud(0, 5), graph.GraphParams(khat=5), None)
 
     def test_too_few_nodes(self):
         with pytest.raises(graph.DegenerateGraphError):
-            graph.build_knn_graph([[0.0, 0, 0]], graph.GraphParams(khat=1), None)
+            knn_graph([[0.0, 0, 0]], graph.GraphParams(khat=1), None)
 
     def test_stochastic_khat_sampling_is_seeded(self):
         pts = random_cloud(1, 20)
         params = graph.GraphParams(khat=(2, 8), stochastic=True)
-        a = graph.build_knn_graph(pts, params, np.random.default_rng(7))
-        b = graph.build_knn_graph(pts, params, np.random.default_rng(7))
+        a = knn_graph(pts, params, np.random.default_rng(7))
+        b = knn_graph(pts, params, np.random.default_rng(7))
         np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_midpoint_when_deterministic(self):
         pts = random_cloud(1, 20)
-        a = graph.build_knn_graph(pts, graph.GraphParams(khat=(2, 8), stochastic=False), None)
-        b = graph.build_knn_graph(pts, graph.GraphParams(khat=5), None)
+        a = knn_graph(pts, graph.GraphParams(khat=(2, 8), stochastic=False), None)
+        b = knn_graph(pts, graph.GraphParams(khat=5), None)
         np.testing.assert_array_equal(a.weights, b.weights)
 
     @given(st.integers(0, 300), st.integers(1, 6))
     @settings(max_examples=30, deadline=None)
     def test_weight_matrix_invariants(self, seed, khat):
         pts = random_cloud(seed, 12)
-        g = graph.build_knn_graph(pts, graph.GraphParams(khat=khat), None)
+        g = knn_graph(pts, graph.GraphParams(khat=khat), None)
         assert np.abs(g.weights - g.weights.T).max() < 1e-12
         assert np.diag(g.weights).max() == 0.0
         assert g.weights.min() >= 0.0
@@ -75,34 +80,94 @@ class TestBuildKnnGraph:
     def test_permutation_equivariance(self, seed):
         pts = random_cloud(seed, 14)
         perm = np.random.default_rng(seed + 11).permutation(len(pts))
-        a = graph.build_knn_graph(pts, graph.GraphParams(khat=3), None)
-        b = graph.build_knn_graph(pts[perm], graph.GraphParams(khat=3), None)
+        a = knn_graph(pts, graph.GraphParams(khat=3), None)
+        b = knn_graph(pts[perm], graph.GraphParams(khat=3), None)
         np.testing.assert_allclose(b.weights, a.weights[np.ix_(perm, perm)], atol=1e-12)
 
 
+def grid(nx, ny, nz, seed):
+    """An integer grid in a seeded random row order."""
+    pts = np.array([[x, y, z] for x in range(nx) for y in range(ny) for z in range(nz)], float)
+    return pts[np.random.default_rng(seed).permutation(len(pts))]
+
+
+def tie_cloud(kind, n=40):
+    rng = np.random.default_rng(3)
+    if kind == "generic":
+        return random_cloud(3, n)
+    if kind == "quarter_grid":
+        return rng.integers(-4, 5, size=(n, 3)) / 4.0
+    if kind == "duplicates":
+        base = rng.integers(-8, 9, size=(n // 4, 3)) / 8.0
+        return base[rng.integers(0, len(base), size=n)]
+    # On a 5x4x2 integer grid, interior nodes have 4-6 neighbors at
+    # distance 1, so the khat-th and (khat+1)-th distances tie.
+    return grid(5, 4, 2, 1)
+
+
 class TestTiesAtTheCut:
-    @pytest.mark.parametrize("khat", [1, 3, 5, 6])
-    def test_grid_neighbor_lists_follow_the_reference(self, monkeypatch, khat):
-        # On a 5x4x2 integer grid, interior nodes have 4-6 neighbors at
-        # distance 1, so the khat-th and (khat+1)-th distances tie.
-        pts = np.array([[x, y, z] for x in range(5) for y in range(4) for z in range(2)], float)
-        pts = pts[np.random.default_rng(1).permutation(len(pts))]
-        lists = []
+    @staticmethod
+    def build(monkeypatch, pts, d2, khat):
+        """Build the graph; return its neighbor lists as point indices, its
+        weights, and the distances its ranking saw, columns in input order."""
+        seen = []
         inner = geom.nearest_candidates
 
         def capture(*args):
             out = inner(*args)
-            lists.append(out)
+            seen.append((args[0].copy(), out))
             return out
 
         monkeypatch.setattr(geom, "nearest_candidates", capture)
-        g = graph.build_knn_graph(pts, graph.GraphParams(khat=khat), None)
-        (nbrs,) = lists
+        g = graph.build_knn_graph(pts, d2, graph.GraphParams(khat=khat), None)
+        monkeypatch.undo()
+        ((ranked_d2, nbrs),) = seen
+        order = geom.canonical_order(pts)
+        return order[nbrs], g.weights, ranked_d2[:, np.argsort(order)]
+
+    def check_lists(self, monkeypatch, pts, khat):
+        block = geom.squared_distances(pts)
+        nbrs, weights, ranked_d2 = self.build(monkeypatch, pts, block, khat)
         expected = np.array([geom.sorted_candidates(pts, i)[:khat] for i in range(len(pts))])
         np.testing.assert_array_equal(nbrs, expected)
-        support = np.zeros_like(g.weights, dtype=bool)
+        support = np.zeros_like(weights, dtype=bool)
         support[np.arange(len(pts))[:, None], expected] = True
-        np.testing.assert_array_equal(g.weights > 0, support | support.T)
+        np.testing.assert_array_equal(weights > 0, support | support.T)
+        # The graph ranks the helper's distances, and the reference's order
+        # agrees with them bitwise.
+        off_diagonal = ~np.eye(len(pts), dtype=bool)
+        np.testing.assert_array_equal(ranked_d2[off_diagonal], block[off_diagonal])
+        for i in range(len(pts)):
+            assert np.all(np.diff(block[i, geom.sorted_candidates(pts, i)]) >= 0)
+
+    @pytest.mark.parametrize("khat", [1, 3, 5, 6])
+    def test_grid_neighbor_lists_follow_the_reference(self, monkeypatch, khat):
+        self.check_lists(monkeypatch, tie_cloud("grid"), khat)
+
+    @pytest.mark.parametrize("kind", ["generic", "quarter_grid", "duplicates"])
+    @pytest.mark.parametrize("khat", [1, 3, 5, 6])
+    def test_neighbor_lists_follow_the_reference(self, monkeypatch, kind, khat):
+        self.check_lists(monkeypatch, tie_cloud(kind), khat)
+
+    @pytest.mark.parametrize("kind", ["generic", "quarter_grid", "duplicates"])
+    def test_hierarchy_blocks_are_the_helpers(self, kind):
+        # The distances handed down to levels 1-2 and to every level's graph
+        # are the helper's distances between that level's points, bitwise.
+        pts = tie_cloud(kind, 64)
+        net = model.RiGcnModel(tiny_config(levels=3, level_sizes=(32, 12, 5), channels=(8, 8, 8)))
+        for desc in model.level_descriptors(net, pts):
+            np.testing.assert_array_equal(desc.block, geom.squared_distances(desc.points))
+
+    @pytest.mark.parametrize("khat", [3, 10, 20])
+    def test_heavy_ties_at_the_grid_centre(self, monkeypatch, khat):
+        # Around the centre of a 5x5x5 grid, 6, 12 and 8 candidates tie at
+        # distances 1, sqrt(2) and sqrt(3); each khat cuts inside one group.
+        pts = grid(5, 5, 5, 4)
+        nbrs, _, _ = self.build(monkeypatch, pts, geom.squared_distances(pts), khat)
+        centre = int(np.flatnonzero((pts == 2).all(axis=1))[0])
+        expected = np.array([geom.sorted_candidates(pts, i)[:khat] for i in range(len(pts))])
+        np.testing.assert_array_equal(nbrs[centre], expected[centre])
+        np.testing.assert_array_equal(nbrs, expected)
 
 
 class TestRenormalize:
@@ -141,7 +206,7 @@ class TestRenormalize:
 
     def test_spectral_radius_by_power_iteration(self):
         pts = random_cloud(8, 30)
-        out = graph.renormalize(graph.build_knn_graph(pts, graph.GraphParams(khat=5), None)).entries
+        out = graph.renormalize(knn_graph(pts, graph.GraphParams(khat=5), None)).entries
         v = np.random.default_rng(0).normal(size=30)
         for _ in range(200):
             v = out @ v
@@ -152,7 +217,7 @@ class TestRenormalize:
 class TestGraphExport:
     def test_node_and_edge_files(self, tmp_path):
         pts = random_cloud(5, 10)
-        g = graph.build_knn_graph(pts, graph.GraphParams(khat=3), None)
+        g = knn_graph(pts, graph.GraphParams(khat=3), None)
         nodes, edges = tmp_path / "n.txt", tmp_path / "e.txt"
         graph.write_graph_files(pts, g, nodes, edges)
         node_rows = [line.split() for line in nodes.read_text().splitlines()]

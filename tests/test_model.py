@@ -12,10 +12,12 @@ def tiny_net(**overrides):
     return model.RiGcnModel(tiny_config(**overrides))
 
 
-def distance_rows(pts, anchors):
-    """Squared distances from each anchor to every point, as FPS returns them."""
-    diff = pts[anchors][:, None, :] - pts[None, :, :]
-    return np.einsum("mnk,mnk->mn", diff, diff)
+def gather(pts, anchors, ks, ds):
+    """Patch gather fed as FPS feeds it: anchor rows with canonical columns."""
+    order = geom.canonical_order(pts)
+    pos = np.argsort(order)[anchors]
+    d2 = geom.squared_distances(pts)[anchors][:, order]
+    return model._gather_patches(d2, order, pos, ks, ds)
 
 
 class TestConfig:
@@ -79,7 +81,7 @@ class TestExtractDescriptors:
         # candidate prefix, duplicate it, and expect bitwise equality
         net = tiny_net(levels=1, level_sizes=(6,), channels=(8,), k_range=(3, 3), d_range=(1, 1))
         pts = random_cloud(3, 64)
-        sel, _ = geom.farthest_point_sampling(pts, 6)
+        sel, _, _ = geom.farthest_point_sampling(pts, 6)
         used = set(sel.tolist())
         for anchor in sel:
             cand = geom.sorted_candidates(pts, int(anchor))
@@ -100,7 +102,7 @@ class TestExtractDescriptors:
         anchors = np.array([0, 7, 31])
         ks = np.array([5, 3, 7])
         ds = np.array([2, 1, 3])
-        flat1, off1, flatd, offd = model._gather_patches(pts, anchors, distance_rows(pts, anchors), ks, ds)
+        flat1, off1, flatd, offd = gather(pts, anchors, ks, ds)
         for i, (a, k, d) in enumerate(zip(anchors, ks, ds)):
             knn = geom.dilated_knn(pts, int(a), geom.NeighborParams(int(k), 1))
             dil = geom.dilated_knn(pts, int(a), geom.NeighborParams(int(k), int(d)))
@@ -113,7 +115,7 @@ class TestExtractDescriptors:
         anchors = np.arange(len(pts))
         ks = np.full(len(pts), 4)
         ds = np.full(len(pts), 2)
-        flat1, off1, flatd, offd = model._gather_patches(pts, anchors, distance_rows(pts, anchors), ks, ds)
+        flat1, off1, flatd, offd = gather(pts, anchors, ks, ds)
         for i in range(len(pts)):
             knn = geom.dilated_knn(pts, i, geom.NeighborParams(4, 1))
             dil = geom.dilated_knn(pts, i, geom.NeighborParams(4, 2))
@@ -128,13 +130,31 @@ class TestExtractDescriptors:
         pts = np.array([[x, y, z] for x in range(4) for y in range(4) for z in range(3)], float)
         pts = np.vstack([pts, pts[17]])
         pts = pts[np.random.default_rng(2).permutation(len(pts))]
-        sel, d2 = geom.farthest_point_sampling(pts, 12)
+        sel, d2, order, pos, _ = model._sample(pts, 12, None)
         ks = np.full(len(sel), k)
         ds = np.full(len(sel), d)
-        flat1, off1, flatd, offd = model._gather_patches(pts, sel, d2, ks, ds)
+        flat1, off1, flatd, offd = model._gather_patches(d2, order, pos, ks, ds)
         for i, a in enumerate(sel):
             knn = geom.dilated_knn(pts, int(a), geom.NeighborParams(k, 1))
             dil = geom.dilated_knn(pts, int(a), geom.NeighborParams(k, d))
+            np.testing.assert_array_equal(flat1[off1[i] : off1[i + 1]], knn.member_indices)
+            np.testing.assert_array_equal(flatd[offd[i] : offd[i + 1]], dil.member_indices)
+
+
+    @pytest.mark.parametrize("k, d", [(3, 1), (10, 1), (20, 1), (3, 2), (6, 2), (10, 2)])
+    def test_patch_gather_matches_on_heavy_ties_at_the_grid_centre(self, k, d):
+        # Around the centre of a 5x5x5 grid, 6, 12 and 8 candidates tie at
+        # distances 1, sqrt(2) and sqrt(3); each used prefix (k for the k-NN
+        # patch, (k - 1) * d + 1 for the dilated one) ends inside one group.
+        pts = np.array([[x, y, z] for x in range(5) for y in range(5) for z in range(5)], float)
+        pts = pts[np.random.default_rng(4).permutation(len(pts))]
+        anchors = np.arange(len(pts))
+        ks = np.full(len(pts), k)
+        ds = np.full(len(pts), d)
+        flat1, off1, flatd, offd = gather(pts, anchors, ks, ds)
+        for i in anchors:
+            knn = geom.dilated_knn(pts, int(i), geom.NeighborParams(k, 1))
+            dil = geom.dilated_knn(pts, int(i), geom.NeighborParams(k, d))
             np.testing.assert_array_equal(flat1[off1[i] : off1[i + 1]], knn.member_indices)
             np.testing.assert_array_equal(flatd[offd[i] : offd[i + 1]], dil.member_indices)
 
@@ -168,7 +188,7 @@ class TestExtendDescriptors:
     def test_axes_are_reused_bitwise(self, cloud, tiny_model):
         d0 = model.extract_descriptors(tiny_model, cloud, None, False)
         d1 = model.extend_descriptors(tiny_model, d0, 1, None, False)
-        sel, _ = geom.farthest_point_sampling(d0.points, len(d1.points))
+        sel, _, _ = geom.farthest_point_sampling(d0.points, len(d1.points))
         np.testing.assert_array_equal(d1.axes, d0.axes[sel])
         np.testing.assert_array_equal(d1.points, d0.points[sel])
 
@@ -211,6 +231,7 @@ class TestAbstractLevel:
             points=desc.points[perm],
             axes=desc.axes[perm],
             features=nnet.constant(desc.features.value[perm]),
+            block=desc.block[np.ix_(perm, perm)],
         )
         out_p = model.abstract_level(tiny_model, permuted, None, False)
         np.testing.assert_allclose(out.value, out_p.value, atol=1e-12)
@@ -231,7 +252,7 @@ class TestAbstractLevel:
         feats = np.array([[2.0], [0.0]])
         w = np.exp(-0.5)
         a_hat = graph.renormalize(
-            graph.build_knn_graph(pts, graph.GraphParams(khat=1), None)
+            graph.build_knn_graph(pts, geom.squared_distances(pts), graph.GraphParams(khat=1), None)
         ).entries
         expected_gcn = np.maximum(a_hat @ feats, 0.0).max()
         gcn_net = tiny_net(levels=1, level_sizes=(24,), channels=(2,), khat_range=(1, 1))
@@ -245,6 +266,7 @@ class TestAbstractLevel:
             points=pts,
             axes=np.broadcast_to(np.eye(3), (2, 3, 3)).copy(),
             features=nnet.constant(np.hstack([feats, np.zeros((2, 1))])),
+            block=geom.squared_distances(pts),
         )
         out_gcn = model.abstract_level(gcn_net, desc, None, False).value[0, 0]
         out_mlp = model.abstract_level(mlp_net, desc, None, False).value[0, 0]
@@ -259,6 +281,7 @@ class TestAbstractLevel:
             points=np.zeros((1, 3)),
             axes=np.eye(3)[None],
             features=nnet.constant(np.zeros((1, 8))),
+            block=np.zeros((1, 1)),
         )
         with pytest.raises(graph.DegenerateGraphError):
             model.abstract_level(tiny_model, desc, None, False)

@@ -293,6 +293,33 @@ class TestCheckpoint:
         nnet.save_checkpoint(b, {"x": 1}, params)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_resave_is_byte_identical_and_leaves_no_temp_file(self, tmp_path):
+        rng = np.random.default_rng(12)
+        params = [make_param("a.w0", rng.normal(size=(3, 5)))]
+        path = tmp_path / "model.ckpt"
+        nnet.save_checkpoint(path, {"x": [1, 2]}, params)
+        first = path.read_bytes()
+        config, values = nnet.load_checkpoint(path)
+        nnet.save_checkpoint(path, config, [make_param(n, v) for n, v in values.items()])
+        assert path.read_bytes() == first
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        nnet.save_checkpoint(path, {}, [make_param("p", np.ones((2, 2)))])
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing"):
+            nnet.load_checkpoint(path)
+
+    def test_rejects_unknown_version(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        nnet.save_checkpoint(path, {}, [make_param("p", np.ones((2, 2)))])
+        raw = path.read_bytes()
+        assert raw.count(b'"version":1') == 1
+        path.write_bytes(raw.replace(b'"version":1', b'"version":2'))
+        with pytest.raises(ValueError, match="version"):
+            nnet.load_checkpoint(path)
+
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint")
