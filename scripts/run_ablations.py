@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Ablation sweep: stochastic d/k/khat toggles, GCN vs MLP abstraction,
-local vs global transforms, and level counts, each trained with the same
-seed and budget. Results land in one CSV for plotting.
+"""Ablation sweep over the desk preset (configs/desk.json): stochastic
+d/k/khat toggles, GCN vs MLP abstraction, local vs global transforms, and
+level counts, each trained by ``rigcn train`` with the same seed and budget.
+Results land in one CSV for plotting.
 
 Usage:
     python scripts/run_ablations.py --out runs/ablations --epochs 8
@@ -13,46 +14,27 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from rigcn import cli
 
-from rigcn import data, model, nnet
+DESK_PRESET = ROOT / "configs" / "desk.json"
 
-VARIANTS = [
-    # name, stochastic (d, k, khat), abstraction, scope, levels
-    ("deterministic", (False, False, False), "gcn", "local", 3),
-    ("stochastic_d", (True, False, False), "gcn", "local", 3),
-    ("stochastic_k", (False, True, False), "gcn", "local", 3),
-    ("stochastic_khat", (False, False, True), "gcn", "local", 3),
-    ("fully_stochastic", (True, True, True), "gcn", "local", 3),
-    ("mlp_abstraction", (True, True, True), "mlp", "local", 3),
-    ("global_transform", (True, True, True), "gcn", "global", 3),
-    ("single_level", (True, True, True), "gcn", "local", 1),
-    ("two_levels", (True, True, True), "gcn", "local", 2),
-    ("four_levels", (True, True, True), "gcn", "local", 4),
-]
-
-
-def variant_config(stochastic, abstraction, scope, levels, seed):
-    return model.RiGcnConfig(
-        num_points=512,
-        num_classes=8,
-        levels=levels,
-        level_sizes=(128, 32, 16, 8)[:levels],
-        channels=(32, 64, 64, 128)[:levels],
-        k_range=(8, 16),
-        d_range=(1, 2),
-        khat_range=(4, 8),
-        g_hidden=32,
-        classifier_hidden=64,
-        stochastic_d=stochastic[0],
-        stochastic_k=stochastic[1],
-        stochastic_khat=stochastic[2],
-        abstraction=abstraction,
-        transform_scope=scope,
-        seed=seed,
-    )
+# name -> --ablation overrides of the desk preset, which is fully stochastic
+# with GCN abstraction, local transforms and three levels.
+VARIANTS = {
+    "deterministic": ["stochastic_d=false", "stochastic_k=false", "stochastic_khat=false"],
+    "stochastic_d": ["stochastic_k=false", "stochastic_khat=false"],
+    "stochastic_k": ["stochastic_d=false", "stochastic_khat=false"],
+    "stochastic_khat": ["stochastic_d=false", "stochastic_k=false"],
+    "fully_stochastic": [],
+    "mlp_abstraction": ["abstraction=mlp"],
+    "global_transform": ["transform_scope=global"],
+    "single_level": ["levels=1", "level_sizes=128", "channels=32"],
+    "two_levels": ["levels=2", "level_sizes=128,32", "channels=32,64"],
+    "four_levels": ["levels=4", "level_sizes=128,32,16,8", "channels=32,64,64,128"],
+}
 
 
 def main() -> int:
@@ -61,31 +43,28 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--epochs", type=int, default=8)
     args = parser.parse_args()
+    if args.epochs < 1:
+        parser.error("--epochs must be >= 1: accuracy is read from the last epoch's test row")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    spec = data.SyntheticSpec(instances_per_class=125, points_per_cloud=512)
-    split = data.generate_synthetic_dataset(spec, np.random.default_rng([args.seed, 1]))
-    train_clouds, train_labels = split.arrays("train")
-    test_clouds, test_labels = split.arrays("test")
-
     results_path = out / "ablations.csv"
     with open(results_path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["variant", "z_so3_accuracy", "train_minutes"])
-        for name, stochastic, abstraction, scope, levels in VARIANTS:
-            cfg = variant_config(stochastic, abstraction, scope, levels, args.seed)
-            net = model.RiGcnModel(cfg)
-            opt = nnet.OptimizerState(learning_rate=1e-3)
-            rng = np.random.default_rng([args.seed, 2])
+        for name, overrides in VARIANTS.items():
+            run_dir = out / name
+            argv = ["train", "--config", str(DESK_PRESET), "--out", str(run_dir),
+                    "--seed", str(args.seed), "--epochs", str(args.epochs)]
+            for item in overrides:
+                argv += ["--ablation", item]
             t0 = time.monotonic()
-            for epoch in range(args.epochs):
-                opt.learning_rate = 1e-3 * 0.85**epoch
-                model.train_epoch(net, train_clouds, train_labels, "z", opt, rng)
+            code = cli.main(argv)
+            if code != 0:
+                return code
             minutes = (time.monotonic() - t0) / 60
-            acc = model.evaluate(
-                net, test_clouds, test_labels, "so3", np.random.default_rng([args.seed, 3])
-            ).accuracy
+            with open(run_dir / "metrics.csv") as mf:
+                acc = float([r for r in csv.DictReader(mf) if r["split"] == "test"][-1]["accuracy"])
             writer.writerow([name, f"{acc:.4f}", f"{minutes:.2f}"])
             fh.flush()
             print(f"{name:20s} z/SO(3) accuracy {acc:.4f} ({minutes:.1f} min)")

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""End-to-end desk-scale experiment: train under the z/SO(3) protocol, then
-run every evaluation harness (rotation modes, invariance check, robustness
-sweep, graph export) on the trained checkpoint.
+"""End-to-end desk-scale experiment: train the preset in configs/desk.json
+under the z/SO(3) protocol, then run every evaluation harness (rotation
+modes, invariance check, robustness sweep, graph export) on the trained
+checkpoint.
 
 Usage:
     python scripts/run_desk_experiment.py --out runs/desk --seed 7
@@ -14,37 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from rigcn import cli, data, geom
 
-
-def build_config(out_dir: str, seed: int, epochs: int) -> dict:
-    return {
-        "experiment_id": "desk",
-        "seed": seed,
-        "out_dir": out_dir,
-        "model": {
-            "num_points": 512,
-            "num_classes": 8,
-            "levels": 3,
-            "level_sizes": [128, 32, 8],
-            "channels": [32, 64, 128],
-            "k_range": [8, 16],
-            "d_range": [1, 2],
-            "khat_range": [4, 8],
-            "g_hidden": 32,
-            "classifier_hidden": 64,
-        },
-        "dataset": {"kind": "synthetic", "instances_per_class": 125, "points_per_cloud": 512},
-        "training": {
-            "epochs": epochs,
-            "learning_rate": 1e-3,
-            "lr_decay": 0.85,
-            "train_rotation": "z",
-            "test_rotation": "so3",
-        },
-    }
+DESK_PRESET = ROOT / "configs" / "desk.json"
 
 
 def main() -> int:
@@ -57,7 +33,10 @@ def main() -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg_path = out / "experiment.json"
-    cfg_path.write_text(json.dumps(build_config(str(out), args.seed, args.epochs), indent=2))
+    config = json.loads(DESK_PRESET.read_text())
+    config.update(seed=args.seed, out_dir=str(out))
+    config["training"]["epochs"] = args.epochs
+    cfg_path.write_text(json.dumps(config, indent=2))
     ckpt = out / "model.ckpt"
 
     steps = [

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,25 +50,11 @@ METRICS_COLUMNS = (
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
+class DatasetConfig(data.SyntheticSpec):
     """Synthetic generation spec, or a pointer to a dataset manifest."""
 
     kind: str = "synthetic"
     path: str | None = None
-    classes: tuple[str, ...] = tuple(data.FAMILIES)
-    instances_per_class: int = 10
-    points_per_cloud: int = 256
-    scale_jitter: tuple[float, float] = (0.7, 1.3)
-    train_fraction: float = 0.8
-
-    def to_spec(self) -> data.SyntheticSpec:
-        return data.SyntheticSpec(
-            classes=self.classes,
-            instances_per_class=self.instances_per_class,
-            points_per_cloud=self.points_per_cloud,
-            scale_jitter=self.scale_jitter,
-            train_fraction=self.train_fraction,
-        )
 
 
 @dataclass(frozen=True)
@@ -91,42 +78,13 @@ class ExperimentConfig:
     training: TrainingParams = TrainingParams()
 
 
-def _from_dict(cls, payload: dict, where: str):
-    """Build a flat dataclass from a dict, rejecting unknown keys and
-    coercing lists to tuples where the field expects one."""
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(payload).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(payload) - set(fields)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in payload.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as e:
-        raise ConfigError(f"{where}: {e}") from None
-
-
-def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
-    if not isinstance(payload, dict):
-        raise ConfigError("config root must be a JSON object")
-    known = {"experiment_id", "seed", "out_dir", "deterministic", "model", "dataset", "training"}
-    unknown = set(payload) - known
-    if unknown:
-        raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-    cfg = ExperimentConfig(
-        experiment_id=payload.get("experiment_id", "experiment"),
-        seed=int(payload.get("seed", 0)),
-        out_dir=payload.get("out_dir", "runs/experiment"),
-        deterministic=bool(payload.get("deterministic", False)),
-        model=model_mod.config_from_dict(payload.get("model", {})),
-        dataset=_from_dict(DatasetConfig, payload.get("dataset", {}), "dataset"),
-        training=_from_dict(TrainingParams, payload.get("training", {}), "training"),
-    )
+def load_experiment_config(path) -> ExperimentConfig:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}: invalid JSON: {e}") from None
+    cfg = model_mod.from_dict(ExperimentConfig, payload, "config")
     if cfg.training.train_rotation not in ROTATION_MODES:
         raise ConfigError(f"training.train_rotation must be one of {ROTATION_MODES}")
     if cfg.training.test_rotation not in ROTATION_MODES:
@@ -137,25 +95,6 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
         raise ConfigError("dataset.kind 'manifest' requires dataset.path")
     cfg.model.validate()
     return cfg
-
-
-def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    out["model"] = model_mod.config_to_dict(cfg.model)
-    for section in ("dataset", "training"):
-        out[section] = {
-            k: list(v) if isinstance(v, tuple) else v for k, v in out[section].items()
-        }
-    return out
-
-
-def load_experiment_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON: {e}") from None
-    return experiment_config_from_dict(payload)
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -180,28 +119,28 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def _set_model_field(model_cfg: RiGcnConfig, key: str, raw: str) -> RiGcnConfig:
-    fields = {f.name: f for f in dataclasses.fields(RiGcnConfig)}
-    if key not in fields:
-        raise ConfigError(f"unknown model config field {key!r}")
-    current = getattr(model_cfg, key)
-    if isinstance(current, bool):
-        if raw.lower() not in ("true", "false", "1", "0"):
-            raise ConfigError(f"field {key!r} expects a boolean, got {raw!r}")
-        value = raw.lower() in ("true", "1")
-    elif isinstance(current, int):
-        value = int(raw)
-    elif isinstance(current, tuple) or current is None:
-        value = tuple(int(t) for t in raw.split(","))
-    else:
+    """``model_cfg`` with one field set from ``key=raw`` text: true/false/1/0
+    for a flag, comma-separated integers for an integer or a tuple."""
+    kind = typing.get_type_hints(RiGcnConfig).get(key)
+    if kind is bool:
+        value = {"true": True, "1": True, "false": False, "0": False}.get(raw.lower(), raw)
+    elif kind is str or kind is None:
         value = raw
-    return dataclasses.replace(model_cfg, **{key: value})
+    else:
+        try:
+            value = [int(t) for t in raw.split(",")]
+        except ValueError:
+            raise ConfigError(f"--ablation {key}: expected integers, got {raw!r}") from None
+        if kind is int and len(value) == 1:
+            (value,) = value
+    return model_mod.from_dict(RiGcnConfig, {**dataclasses.asdict(model_cfg), key: value}, "--ablation")
 
 
 def _prepare_out(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(experiment_config_to_dict(cfg), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return out
 
@@ -213,7 +152,7 @@ def _load_dataset(cfg: ExperimentConfig, config_dir: Path | None) -> data.Datase
             path = config_dir / path
         return data.load_manifest(path)
     rng = np.random.default_rng([cfg.seed, _STREAM_DATA])
-    return data.generate_synthetic_dataset(cfg.dataset.to_spec(), rng)
+    return data.generate_synthetic_dataset(cfg.dataset, rng)
 
 
 def _check_cloud_size(source: str, cloud: np.ndarray, config: RiGcnConfig) -> None:
@@ -465,11 +404,10 @@ def cmd_export_graphs(args) -> int:
     out = _prepare_out(cfg)
     descs = model_mod.level_descriptors(net, pts, None, stochastic=False)
     for desc in descs:
-        params = model_mod.level_graph_params(net.config, len(desc.points), stochastic=False)
-        g = graph.build_knn_graph(desc.points, desc.block, params, None)
+        weights = model_mod.level_graph(net.config, desc, None, stochastic=False)
         nodes = out / f"level{desc.level}_nodes.txt"
         edges = out / f"level{desc.level}_edges.txt"
-        graph.write_graph_files(desc.points, g, nodes, edges)
+        graph.write_graph_files(desc.points, weights, nodes, edges)
         print(f"level {desc.level}: {len(desc.points)} nodes -> {nodes}, {edges}")
     return EXIT_OK
 

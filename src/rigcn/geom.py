@@ -26,26 +26,6 @@ class DegeneratePatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class NeighborParams:
-    """Neighbor-search parameters: count k and dilation rate d."""
-
-    k: int
-    d: int
-
-    def __post_init__(self):
-        if self.k < 1 or self.d < 1:
-            raise ValueError(f"k and d must be >= 1, got k={self.k}, d={self.d}")
-
-
-@dataclass(frozen=True)
-class NeighborSet:
-    """Result of a neighbor search: ordered member indices, nearest-first."""
-
-    anchor_index: int
-    member_indices: np.ndarray
-
-
-@dataclass(frozen=True)
 class LocalFrame:
     """An anchor origin plus a right-handed orthonormal axis matrix.
 
@@ -233,65 +213,6 @@ def sorted_candidates(points: np.ndarray, anchor_index: int) -> np.ndarray:
     return order[order != anchor_index]
 
 
-def dilated_positions(k: int, d: int, n_candidates: int) -> tuple[np.ndarray, int]:
-    """Sorted-list positions 0, d, 2d, ... used by the dilated search.
-
-    If the span exceeds the candidate list, the dilation is clamped to
-    ``(n_candidates) // k`` (at least 1); remaining shortage is reported so
-    the caller can pad.
-    """
-    if (k - 1) * d >= n_candidates:
-        d = max(1, n_candidates // k)
-    if (k - 1) * d < n_candidates:
-        take = k
-    else:
-        take = n_candidates  # d == 1 here; only a plain prefix fits
-    positions = np.arange(take) * d
-    return positions, k - take
-
-
-def dilated_knn(points, anchor_index: int, params: NeighborParams) -> NeighborSet:
-    """Neighbors of one anchor at every d-th position of its distance-sorted
-    candidate list.
-
-    Candidate shortage clamps the dilation and, if the cloud is smaller than
-    k+1, pads by repeating the nearest candidate so patches keep width k.
-    """
-    pts = as_cloud(points)
-    n = len(pts)
-    if not 0 <= anchor_index < n:
-        raise ValueError(f"anchor index {anchor_index} out of range for N={n}")
-    cand = sorted_candidates(pts, anchor_index)
-    positions, shortage = dilated_positions(params.k, params.d, len(cand))
-    members = cand[positions]
-    if shortage > 0:
-        members = np.concatenate([members, np.full(shortage, cand[0])])
-    return NeighborSet(anchor_index=anchor_index, member_indices=members)
-
-
-def sample_neighbor_params(
-    rng: np.random.Generator,
-    k_range: tuple[int, int],
-    d_range: tuple[int, int],
-    stochastic: bool,
-) -> NeighborParams:
-    """Draw (k, d) uniformly from integer intervals, or take midpoints.
-
-    Midpoints (``(lo + hi) // 2``) are used when ``stochastic`` is false so
-    that evaluation is deterministic.
-    """
-    for name, (lo, hi) in (("k", k_range), ("d", d_range)):
-        if lo < 1 or hi < lo:
-            raise ValueError(f"invalid {name} interval [{lo}, {hi}]")
-    if stochastic:
-        k = int(rng.integers(k_range[0], k_range[1] + 1))
-        d = int(rng.integers(d_range[0], d_range[1] + 1))
-    else:
-        k = (k_range[0] + k_range[1]) // 2
-        d = (d_range[0] + d_range[1]) // 2
-    return NeighborParams(k=k, d=d)
-
-
 def _complete_axis(fixed: list[np.ndarray]) -> np.ndarray:
     """First coordinate axis with a non-negligible residual after
     Gram-Schmidt against the already-fixed directions."""
@@ -388,21 +309,6 @@ def _complete_degenerate(
     axes[:, 1] = _complete_axis(fixed)
     axes[:, 2] = np.cross(axes[:, 0], axes[:, 1])
     return axes
-
-
-def estimate_lrf(points, anchor_index: int, neighbors: NeighborSet) -> LocalFrame:
-    """PCA local reference frame for one anchor from its neighbor points."""
-    pts = as_cloud(points)
-    members = np.asarray(neighbors.member_indices)
-    if len(members) < 3:
-        raise DegeneratePatchError(
-            f"need >= 3 neighbors to estimate a frame, got {len(members)}"
-        )
-    flat = pts[members]
-    offsets = np.array([0, len(members)])
-    anchor = pts[anchor_index]
-    axes = lrf_axes_batch(flat, offsets, anchor[None, :])[0]
-    return LocalFrame(origin=anchor.copy(), axes=axes)
 
 
 def global_pca_frame(points) -> LocalFrame:

@@ -3,8 +3,6 @@ adjacency used by graph convolution."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import geom
@@ -14,50 +12,10 @@ class DegenerateGraphError(ValueError):
     """Raised when a point set is too small to carry a graph."""
 
 
-@dataclass(frozen=True)
-class GraphParams:
-    """Edge count per node, as a fixed value or an interval to sample from."""
-
-    khat: int | tuple[int, int]
-    stochastic: bool = False
-
-    def interval(self) -> tuple[int, int]:
-        lo, hi = (self.khat, self.khat) if isinstance(self.khat, int) else self.khat
-        if lo < 1 or hi < lo:
-            raise ValueError(f"invalid khat interval [{lo}, {hi}]")
-        return lo, hi
-
-
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Symmetric non-negative adjacency with zero diagonal."""
-
-    n: int
-    weights: np.ndarray
-
-
-@dataclass(frozen=True)
-class NormalizedAdjacency:
-    """The self-loop-renormalized adjacency; eigenvalues lie in [-1, 1]."""
-
-    entries: np.ndarray
-
-
-def resolve_khat(params: GraphParams, rng: np.random.Generator | None) -> int:
-    """Sample khat from its interval, or take the midpoint when deterministic."""
-    lo, hi = params.interval()
-    if params.stochastic:
-        if rng is None:
-            raise ValueError("stochastic khat requires a generator")
-        return int(rng.integers(lo, hi + 1))
-    return (lo + hi) // 2
-
-
-def build_knn_graph(
-    points, d2: np.ndarray, params: GraphParams, rng: np.random.Generator | None = None
-) -> WeightedGraph:
-    """Directed khat-NN edges with Gaussian-smoothed distance weights,
-    symmetrized by taking the larger direction.
+def build_knn_graph(points, d2: np.ndarray, khat: int) -> np.ndarray:
+    """The (N, N) weights of a k-NN graph: directed ``khat``-NN edges with
+    Gaussian-smoothed distance weights, symmetrized by taking the larger
+    direction, zero on the diagonal.
 
     ``d2`` holds the points' squared distances to each other, as a level's
     ``DescriptorSet.block`` or ``geom.squared_distances`` gives them. The
@@ -72,9 +30,8 @@ def build_knn_graph(
         raise DegenerateGraphError(f"need >= 2 nodes for a graph, got {n}")
     if d2.shape != (n, n):
         raise ValueError(f"distance block has shape {d2.shape}, expected {(n, n)}")
-    khat = resolve_khat(params, rng)
-    if khat >= n:
-        raise ValueError(f"khat={khat} must be < node count {n}")
+    if not 1 <= khat < n:
+        raise ValueError(f"khat={khat} must be in [1, {n - 1}] for {n} nodes")
 
     order = geom.canonical_order(pts)
     d2 = d2[:, order]
@@ -90,24 +47,24 @@ def build_knn_graph(
     directed[np.arange(n)[:, None], order[nbrs]] = w
     weights = np.maximum(directed, directed.T)
     np.fill_diagonal(weights, 0.0)
-    return WeightedGraph(n=n, weights=weights)
+    return weights
 
 
-def renormalize(graph: WeightedGraph) -> NormalizedAdjacency:
-    """Self-loop renormalization: D^{-1/2} (A + I) D^{-1/2}."""
-    a_tilde = graph.weights + np.eye(graph.n)
+def renormalize(weights: np.ndarray) -> np.ndarray:
+    """Self-loop renormalization of a weight matrix: D^{-1/2} (A + I) D^{-1/2},
+    whose eigenvalues lie in [-1, 1]."""
+    a_tilde = weights + np.eye(len(weights))
     inv_sqrt_deg = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-    entries = a_tilde * np.outer(inv_sqrt_deg, inv_sqrt_deg)
-    return NormalizedAdjacency(entries=entries)
+    return a_tilde * np.outer(inv_sqrt_deg, inv_sqrt_deg)
 
 
-def write_graph_files(points: np.ndarray, graph: WeightedGraph, nodes_path, edges_path) -> None:
+def write_graph_files(points: np.ndarray, weights: np.ndarray, nodes_path, edges_path) -> None:
     """Plain-text export: one ``i x y z`` line per node and one
     ``i j weight`` line per undirected edge (i < j, weight > 0)."""
     with open(nodes_path, "w", encoding="utf-8", newline="\n") as fh:
         for i, (x, y, z) in enumerate(points):
             fh.write(f"{i} {x:.17g} {y:.17g} {z:.17g}\n")
-    ii, jj = np.nonzero(np.triu(graph.weights, k=1))
+    ii, jj = np.nonzero(np.triu(weights, k=1))
     with open(edges_path, "w", encoding="utf-8", newline="\n") as fh:
         for i, j in zip(ii, jj):
-            fh.write(f"{i} {j} {graph.weights[i, j]:.17g}\n")
+            fh.write(f"{i} {j} {weights[i, j]:.17g}\n")

@@ -8,7 +8,8 @@ dilation rates, and per-level graph degrees from the configured intervals.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -17,9 +18,6 @@ from . import geom, graph, nnet
 
 class ConfigError(ValueError):
     """Raised when a configuration violates its invariants."""
-
-
-_TUPLE_FIELDS = ("level_sizes", "channels", "k_range", "d_range", "khat_range")
 
 
 @dataclass(frozen=True)
@@ -97,24 +95,44 @@ class RiGcnConfig:
             )
 
 
-def config_to_dict(config: RiGcnConfig) -> dict:
-    out = asdict(config)
-    for key in _TUPLE_FIELDS:
-        if out[key] is not None:
-            out[key] = list(out[key])
-    return out
+def from_dict(cls, payload, where: str):
+    """An instance of the dataclass ``cls`` from a parsed JSON object.
 
-
-def config_from_dict(data: dict) -> RiGcnConfig:
-    known = {f for f in RiGcnConfig.__dataclass_fields__}
-    unknown = set(data) - known
+    Unknown keys and values of the wrong type raise ``ConfigError``, naming
+    the key by its path from ``where``. Lists become tuples, nested objects
+    become nested dataclasses, and a missing key keeps its default.
+    """
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(payload).__name__}")
+    types = typing.get_type_hints(cls)
+    unknown = set(payload) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-    kwargs = dict(data)
-    for key in _TUPLE_FIELDS:
-        if kwargs.get(key) is not None:
-            kwargs[key] = tuple(kwargs[key])
-    return RiGcnConfig(**kwargs)
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    return cls(**{k: _typed(types[k], v, f"{where}.{k}") for k, v in payload.items()})
+
+
+def _typed(tp, value, where: str):
+    """``value`` checked against the type hint ``tp``."""
+    if is_dataclass(tp):
+        return from_dict(tp, value, where)
+    args = typing.get_args(tp)
+    if type(None) in args:
+        if value is None:
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+        return _typed(tp, value, where)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(value) != len(items):
+            raise ConfigError(f"{where}: expected {len(items)} items, got {len(value)}")
+        return tuple(_typed(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+    # JSON has one number type; bool is an int subclass but not a number here.
+    accepted = (int, float) if tp is float else tp
+    if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
+        raise ConfigError(f"{where}: expected {tp.__name__}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -178,12 +196,12 @@ class RiGcnModel:
 
 
 def save_model(model: RiGcnModel, path) -> None:
-    nnet.save_checkpoint(path, config_to_dict(model.config), model.parameters())
+    nnet.save_checkpoint(path, asdict(model.config), model.parameters())
 
 
 def load_model(path) -> RiGcnModel:
     config_dict, values = nnet.load_checkpoint(path)
-    model = RiGcnModel(config_from_dict(config_dict))
+    model = RiGcnModel(from_dict(RiGcnConfig, config_dict, "checkpoint config"))
     for p in model.parameters():
         if p.name not in values:
             raise ValueError(f"checkpoint is missing parameter {p.name!r}")
@@ -196,21 +214,15 @@ def load_model(path) -> RiGcnModel:
     return model
 
 
-def _per_anchor_kd(
-    config: RiGcnConfig, count: int, rng: np.random.Generator | None, stochastic: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-anchor (k, d) draws honoring the individual stochastic toggles;
-    deterministic components use the interval midpoint."""
-    (k_lo, k_hi), (d_lo, d_hi) = config.k_range, config.d_range
-    if stochastic and config.stochastic_k:
-        ks = rng.integers(k_lo, k_hi + 1, size=count)
-    else:
-        ks = np.full(count, (k_lo + k_hi) // 2)
-    if stochastic and config.stochastic_d:
-        ds = rng.integers(d_lo, d_hi + 1, size=count)
-    else:
-        ds = np.full(count, (d_lo + d_hi) // 2)
-    return ks, ds
+def draw_interval(
+    bounds: tuple[int, int], count: int, rng: np.random.Generator | None, stochastic: bool
+) -> np.ndarray:
+    """``count`` integers drawn uniformly from the closed interval ``bounds``,
+    or its midpoint ``(lo + hi) // 2`` repeated when not ``stochastic``."""
+    lo, hi = bounds
+    if stochastic:
+        return rng.integers(lo, hi + 1, size=count)
+    return np.full(count, (lo + hi) // 2)
 
 
 def _sample(
@@ -241,15 +253,18 @@ def _gather_patches(
     returns them; ``pos`` is each anchor's column, and these self entries
     are set to inf in place. Returns (flat_knn, offsets_knn, flat_dilated,
     offsets_dilated) where the flat arrays index the points in input order.
-    Semantics match ``geom.dilated_knn`` with d=1 and d=ds[i] respectively,
-    including clamping, padding and the tie rule of ``geom.canonical_order``.
+    Patch i holds the members at positions 0, d, 2d, ... of the anchor's
+    candidate list, sorted by distance with the tie rule of
+    ``geom.canonical_order``, with d=1 and d=ds[i] respectively. A span
+    ``(k - 1) * d`` past the n - 1 candidates clamps d to
+    ``max(1, (n - 1) // k)``; if k still exceeds the candidates, the patch is
+    padded by repeating the nearest one.
     """
     m, n = d2.shape
     d2[np.arange(m), pos] = np.inf
 
-    # Per-anchor sorted-list positions, replicating the clamping rule of
-    # ``geom.dilated_positions``; padding repeats position 0, so every patch
-    # has exactly k members and gathers stay uniform.
+    # Per-anchor sorted-list positions; padding repeats position 0, so every
+    # patch has exactly k members and gathers stay uniform.
     ks = np.asarray(ks, dtype=np.int64)
     n_cand = n - 1
     d1 = np.ones(m, dtype=np.int64)
@@ -303,7 +318,8 @@ def extract_descriptors(
         raise ConfigError(f"cloud has {len(points)} points but level 0 needs {m0}")
     sel, d2, order, pos, block = _sample(points, m0, None)
     anchors = points[sel]
-    ks, ds = _per_anchor_kd(cfg, m0, rng, stochastic)
+    ks = draw_interval(cfg.k_range, m0, rng, stochastic and cfg.stochastic_k)
+    ds = draw_interval(cfg.d_range, m0, rng, stochastic and cfg.stochastic_d)
     flat1, off1, flatd, offd = _gather_patches(d2, order, pos, ks, ds)
     if cfg.transform_scope == "global":
         axes = np.broadcast_to(np.eye(3), (m0, 3, 3)).copy()
@@ -341,7 +357,10 @@ def extend_descriptors(
     sel, d2, order, pos, block = _sample(prev.points, m_l, prev.block)
     anchors = prev.points[sel]
     axes = prev.axes[sel]
-    ks, _ = _per_anchor_kd(cfg, m_l, rng, stochastic)
+    ks = draw_interval(cfg.k_range, m_l, rng, stochastic and cfg.stochastic_k)
+    # Dilations are drawn and not used: the draw keeps the generator's stream,
+    # and so every stochastic forward and trained checkpoint, as it has been.
+    draw_interval(cfg.d_range, m_l, rng, stochastic and cfg.stochastic_d)
     flat, off, _, _ = _gather_patches(d2, order, pos, ks, np.ones(m_l, dtype=np.int64))
     proj = _project_segments(prev.points, flat, off, anchors, axes)
     h_coord = nnet.segment_maxpool(nnet.mlp(model.g1[level], nnet.constant(proj)), off)
@@ -352,12 +371,19 @@ def extend_descriptors(
     return DescriptorSet(level=level, points=anchors, axes=axes, features=features, block=block)
 
 
-def level_graph_params(config: RiGcnConfig, n_nodes: int, stochastic: bool) -> graph.GraphParams:
-    """Graph degree interval for a level, clamped so khat stays below the
-    node count (small top levels would otherwise be unbuildable)."""
-    lo, hi = config.khat_range
-    lo, hi = min(lo, n_nodes - 1), min(hi, n_nodes - 1)
-    return graph.GraphParams(khat=(lo, hi), stochastic=stochastic and config.stochastic_khat)
+def level_graph(
+    config: RiGcnConfig,
+    desc: DescriptorSet,
+    rng: np.random.Generator | None,
+    stochastic: bool,
+) -> np.ndarray:
+    """Weights of a level's k-NN graph. The degree khat is drawn from
+    ``khat_range`` clamped below the node count, so small top levels stay
+    buildable."""
+    top = len(desc.points) - 1
+    bounds = (min(config.khat_range[0], top), min(config.khat_range[1], top))
+    khat = int(draw_interval(bounds, 1, rng, stochastic and config.stochastic_khat)[0])
+    return graph.build_knn_graph(desc.points, desc.block, khat)
 
 
 def abstract_level(
@@ -373,9 +399,8 @@ def abstract_level(
         raise graph.DegenerateGraphError(f"level {desc.level} has {n} < 2 nodes")
     w = model.gcn_w[desc.level]
     if model.config.abstraction == "gcn":
-        params = level_graph_params(model.config, n, stochastic)
-        g = graph.build_knn_graph(desc.points, desc.block, params, rng)
-        h = nnet.gcn_layer(graph.renormalize(g).entries, desc.features, w)
+        weights = level_graph(model.config, desc, rng, stochastic)
+        h = nnet.gcn_layer(graph.renormalize(weights), desc.features, w)
     else:
         h = nnet.relu(nnet.linear(w, desc.features))
     return nnet.maxpool_rows(h)

@@ -6,9 +6,11 @@ CPU.
 """
 
 import csv
+import dataclasses
 import itertools
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,22 +23,11 @@ pytestmark = pytest.mark.slow
 
 SEED = 7
 
-DESK_MODEL_CONFIG = model.RiGcnConfig(
-    num_points=512,
-    num_classes=8,
-    levels=3,
-    level_sizes=(128, 32, 8),
-    channels=(32, 64, 128),
-    k_range=(8, 16),
-    d_range=(1, 2),
-    khat_range=(4, 8),
-    g_hidden=32,
-    classifier_hidden=64,
-    seed=SEED,
-)
+DESK = cli.load_experiment_config(Path(__file__).resolve().parent.parent / "configs" / "desk.json")
+DESK_MODEL_CONFIG = dataclasses.replace(DESK.model, seed=SEED)
 
-TRAIN_EPOCHS = 12
-LR, LR_DECAY = 1e-3, 0.85
+TRAIN_EPOCHS = DESK.training.epochs
+LR, LR_DECAY = DESK.training.learning_rate, DESK.training.lr_decay
 
 
 def _report(criterion: int, ok: bool, detail: str) -> bool:
@@ -46,8 +37,7 @@ def _report(criterion: int, ok: bool, detail: str) -> bool:
 
 @pytest.fixture(scope="module")
 def desk_split():
-    spec = data.SyntheticSpec(instances_per_class=125, points_per_cloud=512)
-    return data.generate_synthetic_dataset(spec, np.random.default_rng([SEED, 1]))
+    return data.generate_synthetic_dataset(DESK.dataset, np.random.default_rng([SEED, 1]))
 
 
 def _train(config, split, epochs=TRAIN_EPOCHS):
@@ -185,11 +175,10 @@ class TestCriterion6RenormalizedAdjacency:
             n = int(rng.integers(2, 24))
             pts = rng.normal(size=(n, 3))
             khat = int(rng.integers(1, n))
-            g = graph.build_knn_graph(pts, geom.squared_distances(pts), graph.GraphParams(khat=khat), None)
-            a_hat = graph.renormalize(g).entries
+            a_hat = graph.renormalize(graph.build_knn_graph(pts, geom.squared_distances(pts), khat))
             worst_asym = max(worst_asym, float(np.abs(a_hat - a_hat.T).max()))
             worst_radius = max(worst_radius, float(np.abs(np.linalg.eigvalsh(a_hat)).max()))
-        edgeless = graph.renormalize(graph.WeightedGraph(n=5, weights=np.zeros((5, 5)))).entries
+        edgeless = graph.renormalize(np.zeros((5, 5)))
         identity_ok = np.array_equal(edgeless, np.eye(5))
         ok = worst_asym <= 1e-12 and worst_radius <= 1 + 1e-9 and identity_ok
         assert _report(
@@ -258,23 +247,16 @@ class TestCriterion7AblationScaffolding:
         full_acc = model.evaluate(
             net, clouds, labels, "so3", np.random.default_rng([SEED, 3])
         ).accuracy
-        weak_cfg = model.RiGcnConfig(
-            num_points=512,
-            num_classes=8,
+        weak_cfg = dataclasses.replace(
+            DESK_MODEL_CONFIG,
             levels=1,
             level_sizes=(128,),
             channels=(32,),
-            k_range=(8, 16),
-            d_range=(1, 2),
-            khat_range=(4, 8),
-            g_hidden=32,
-            classifier_hidden=64,
             stochastic_d=False,
             stochastic_k=False,
             stochastic_khat=False,
             abstraction="mlp",
             transform_scope="global",
-            seed=SEED,
         )
         weak_net, _ = _train(weak_cfg, desk_split)
         weak_acc = model.evaluate(
@@ -298,8 +280,8 @@ class TestCriterion8RobustnessHarness:
             "experiment_id": "acc8",
             "seed": SEED,
             "out_dir": str(tmp_path / "out"),
-            "model": model.config_to_dict(DESK_MODEL_CONFIG),
-            "dataset": {"kind": "synthetic", "instances_per_class": 125, "points_per_cloud": 512},
+            "model": dataclasses.asdict(DESK_MODEL_CONFIG),
+            "dataset": dataclasses.asdict(DESK.dataset),
             "training": {"epochs": 0, "train_rotation": "z", "test_rotation": "so3"},
         }
         cfg_path = tmp_path / "cfg.json"

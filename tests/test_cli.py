@@ -1,10 +1,15 @@
 import csv
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rigcn import cli, data, geom, model, nnet
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -40,6 +45,74 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+# config.json as ``train`` echoes write_config(out_dir="out") with 0 epochs.
+CONFIG_ECHO = """\
+{
+  "dataset": {
+    "classes": [
+      "sphere",
+      "cube",
+      "torus"
+    ],
+    "instances_per_class": 5,
+    "kind": "synthetic",
+    "path": null,
+    "points_per_cloud": 64,
+    "scale_jitter": [
+      0.7,
+      1.3
+    ],
+    "train_fraction": 0.8
+  },
+  "deterministic": false,
+  "experiment_id": "t",
+  "model": {
+    "abstraction": "gcn",
+    "channels": [
+      8,
+      16
+    ],
+    "classifier_hidden": 12,
+    "d_range": [
+      1,
+      2
+    ],
+    "g_hidden": 6,
+    "k_range": [
+      4,
+      6
+    ],
+    "khat_range": [
+      3,
+      5
+    ],
+    "level_sizes": [
+      16,
+      6
+    ],
+    "levels": 2,
+    "num_classes": 3,
+    "num_points": 64,
+    "seed": 3,
+    "stochastic_d": true,
+    "stochastic_k": true,
+    "stochastic_khat": true,
+    "transform_scope": "local"
+  },
+  "out_dir": "out",
+  "seed": 3,
+  "training": {
+    "epochs": 0,
+    "learning_rate": 0.001,
+    "lr_decay": 1.0,
+    "optimizer": "adam",
+    "test_rotation": "so3",
+    "train_rotation": "z"
+  }
+}
+"""
 
 
 def manifest_with_short_cloud(tmp_path):
@@ -96,6 +169,56 @@ class TestTrain:
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, typo_section={"a": 1})
         assert cli.main(["train", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"seed": [1]},
+            {"model": {"k_range": 5}},
+            {"model": {"levels": "3"}},
+            {"dataset": {"instances_per_class": "5"}},
+            {"model": []},
+            {"deterministic": "false"},
+            {"dataset": {"classes": "sphere"}},
+        ],
+        ids=["seed-list", "k_range-int", "levels-str", "instances-str", "model-list",
+             "deterministic-str", "classes-str"],
+    )
+    def test_wrongly_typed_config_value_exits_2(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: config.")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_echo_is_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, out_dir="out")
+        assert cli.main(["train", "--config", str(cfg), "--epochs", "0"]) == 0
+        assert (tmp_path / "out" / "config.json").read_text() == CONFIG_ECHO
+
+    @pytest.mark.parametrize(
+        "key, raw, expected",
+        [
+            ("stochastic_k", "false", False),
+            ("stochastic_d", "0", False),
+            ("stochastic_khat", "TRUE", True),
+            ("g_hidden", "4", 4),
+            ("k_range", "3,5", (3, 5)),
+            ("abstraction", "mlp", "mlp"),
+            ("level_sizes", "128,32,16,8", (128, 32, 16, 8)),
+            ("channels", "16", (16,)),
+        ],
+    )
+    def test_ablation_sets_a_typed_field(self, key, raw, expected):
+        cfg = cli._set_model_field(model.RiGcnConfig(), key, raw)
+        assert getattr(cfg, key) == expected
+        assert type(getattr(cfg, key)) is type(expected)
+
+    @pytest.mark.parametrize("item", ["levels=abc", "stochastic_k=yes", "nope=1", "levels=2,3", "noequals"])
+    def test_bad_ablation_exits_2(self, tmp_path, item):
+        cfg = write_config(tmp_path)
+        assert cli.main(["train", "--config", str(cfg), "--ablation", item]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == 2
@@ -399,3 +522,21 @@ class TestGenData:
             dataset={"kind": "manifest", "path": str(tmp_path / "ds" / "manifest.csv")},
         )
         assert cli.main(["train", "--config", str(train_cfg), "--epochs", "1"]) == 0
+
+
+class TestDeskPreset:
+    def test_model_section_is_the_benchmarked_desk_model(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        # Its dataclasses look their module up while the file executes.
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        preset = json.loads((ROOT / "configs" / "desk.json").read_text())
+        assert preset["model"] == json.loads(json.dumps(workloads.DESK_CONFIG))
+
+    def test_preset_loads(self):
+        cfg = cli.load_experiment_config(ROOT / "configs" / "desk.json")
+        assert cfg.model.resolved_level_sizes() == (128, 32, 8)
+        assert cfg.model.classifier_hidden == 64

@@ -174,124 +174,100 @@ class TestFarthestPointSampling:
             assert fps_disp >= 0.5 * opt - 1e-12
 
 
+def dilated_knn(points, anchor: int, k: int, d: int) -> np.ndarray:
+    """Reference neighbors of one anchor: positions 0, d, 2d, ... of its
+    distance-sorted candidate list (``geom.sorted_candidates``).
+
+    A span past the candidate list clamps the dilation to
+    ``max(1, n_candidates // k)``; if the cloud is smaller than k + 1, the
+    nearest candidate is repeated so patches keep width k.
+    """
+    cand = geom.sorted_candidates(geom.as_cloud(points), anchor)
+    n = len(cand)
+    if (k - 1) * d >= n:
+        d = max(1, n // k)
+    take = k if (k - 1) * d < n else n
+    return np.concatenate([cand[np.arange(take) * d], np.full(k - take, cand[0])])
+
+
 class TestDilatedKnn:
     def test_every_dth_position(self):
         pts = [[0.0, 0, 0]] + [[float(x), 0, 0] for x in range(1, 7)]
-        out = geom.dilated_knn(pts, 0, geom.NeighborParams(k=3, d=2))
-        assert pts[out.member_indices[0]][0] == 1.0
-        assert pts[out.member_indices[1]][0] == 3.0
-        assert pts[out.member_indices[2]][0] == 5.0
+        out = dilated_knn(pts, 0, 3, 2)
+        assert pts[out[0]][0] == 1.0
+        assert pts[out[1]][0] == 3.0
+        assert pts[out[2]][0] == 5.0
 
     def test_plain_knn_when_d_is_one(self, cloud):
-        out = geom.dilated_knn(cloud, 5, geom.NeighborParams(k=2, d=1))
+        out = dilated_knn(cloud, 5, 2, 1)
         d2 = ((cloud - cloud[5]) ** 2).sum(axis=1)
         d2[5] = np.inf
         expected = np.argsort(d2)[:2]
-        assert sorted(out.member_indices) == sorted(expected)
+        assert sorted(out) == sorted(expected)
 
     def test_padding_when_cloud_is_small(self):
         pts = [[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]
-        out = geom.dilated_knn(pts, 0, geom.NeighborParams(k=4, d=1))
-        assert out.member_indices.tolist() == [1, 2, 1, 1]
+        assert dilated_knn(pts, 0, 4, 1).tolist() == [1, 2, 1, 1]
 
     def test_dilation_clamped_on_shortage(self):
         pts = [[float(x), 0, 0] for x in range(6)]
-        out = geom.dilated_knn(pts, 0, geom.NeighborParams(k=3, d=4))
         # span 8 exceeds the 5 candidates; d clamps to 5 // 3 = 1
-        assert out.member_indices.tolist() == [1, 2, 3]
+        assert dilated_knn(pts, 0, 3, 4).tolist() == [1, 2, 3]
 
     @given(st.integers(0, 300))
     @settings(max_examples=25, deadline=None)
     def test_rotation_invariance(self, seed):
         pts = random_cloud(seed, 30)
         rot = geom.random_rotation(np.random.default_rng(seed + 3), "so3")
-        params = geom.NeighborParams(k=4, d=2)
-        a = geom.dilated_knn(pts, 3, params)
-        b = geom.dilated_knn(geom.rotate(pts, rot), 3, params)
-        assert a.member_indices.tolist() == b.member_indices.tolist()
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            geom.NeighborParams(k=0, d=1)
-        with pytest.raises(ValueError):
-            geom.NeighborParams(k=1, d=0)
+        a = dilated_knn(pts, 3, 4, 2)
+        b = dilated_knn(geom.rotate(pts, rot), 3, 4, 2)
+        assert a.tolist() == b.tolist()
 
 
-class TestSampleNeighborParams:
-    def test_midpoint_when_deterministic(self):
-        out = geom.sample_neighbor_params(None, (24, 40), (1, 4), stochastic=False)
-        assert (out.k, out.d) == (32, 2)
-
-    def test_degenerate_interval(self):
-        rng = np.random.default_rng(0)
-        out = geom.sample_neighbor_params(rng, (7, 7), (3, 3), stochastic=True)
-        assert (out.k, out.d) == (7, 3)
-
-    def test_seeded_determinism(self):
-        a = geom.sample_neighbor_params(np.random.default_rng(5), (16, 48), (1, 4), True)
-        b = geom.sample_neighbor_params(np.random.default_rng(5), (16, 48), (1, 4), True)
-        assert (a.k, a.d) == (b.k, b.d)
-
-    @given(st.integers(0, 200))
-    @settings(max_examples=30, deadline=None)
-    def test_samples_stay_in_interval(self, seed):
-        out = geom.sample_neighbor_params(np.random.default_rng(seed), (3, 9), (2, 5), True)
-        assert 3 <= out.k <= 9
-        assert 2 <= out.d <= 5
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError):
-            geom.sample_neighbor_params(None, (5, 4), (1, 2), False)
+def patch_axes(points, anchor: int, members) -> np.ndarray:
+    """``lrf_axes_batch`` on the single patch ``members`` of ``anchor``."""
+    pts = np.asarray(points, dtype=np.float64)
+    members = np.asarray(members)
+    return geom.lrf_axes_batch(pts[members], np.array([0, len(members)]), pts[anchor][None])[0]
 
 
-class TestEstimateLrf:
+class TestLrfAxesBatch:
     def test_collinear_points_give_identity_frame(self):
         # Third moments cancel; the anchor-to-mean fallback fixes +x, and the
         # degenerate axes complete to the coordinate frame.
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])
-        nbrs = geom.NeighborSet(0, np.array([0, 1, 2, 3]))
-        frame = geom.estimate_lrf(pts, 0, nbrs)
-        np.testing.assert_allclose(frame.axes, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(patch_axes(pts, 0, [0, 1, 2, 3]), np.eye(3), atol=1e-12)
 
     def test_planar_square_normal_is_last_axis(self):
         pts = np.array([[1.0, 1, 0], [1, -1, 0], [-1, 1, 0], [-1, -1, 0], [0, 0, 5]])
-        nbrs = geom.NeighborSet(4, np.array([0, 1, 2, 3]))
-        frame = geom.estimate_lrf(pts, 4, nbrs)
-        np.testing.assert_allclose(np.abs(frame.axes[:, 2]), [0, 0, 1], atol=1e-12)
+        axes = patch_axes(pts, 4, [0, 1, 2, 3])
+        np.testing.assert_allclose(np.abs(axes[:, 2]), [0, 0, 1], atol=1e-12)
 
     def test_too_few_neighbors(self, cloud):
         with pytest.raises(geom.DegeneratePatchError):
-            geom.estimate_lrf(cloud, 0, geom.NeighborSet(0, np.array([1, 2])))
+            patch_axes(cloud, 0, [1, 2])
 
     @given(st.integers(0, 400))
     @settings(max_examples=40, deadline=None)
     def test_frame_invariants(self, seed):
         pts = random_cloud(seed, 30)
-        nbrs = geom.dilated_knn(pts, 0, geom.NeighborParams(k=8, d=1))
-        frame = geom.estimate_lrf(pts, 0, nbrs)
-        np.testing.assert_allclose(frame.axes.T @ frame.axes, np.eye(3), atol=1e-9)
-        assert abs(np.linalg.det(frame.axes) - 1.0) < 1e-9
+        axes = patch_axes(pts, 0, dilated_knn(pts, 0, 8, 1))
+        np.testing.assert_allclose(axes.T @ axes, np.eye(3), atol=1e-9)
+        assert abs(np.linalg.det(axes) - 1.0) < 1e-9
 
     @given(st.integers(0, 400))
     @settings(max_examples=40, deadline=None)
     def test_rotation_equivariance(self, seed):
         pts = random_cloud(seed, 30)
-        nbrs = geom.dilated_knn(pts, 0, geom.NeighborParams(k=8, d=1))
-        patch = pts[nbrs.member_indices] - pts[nbrs.member_indices].mean(axis=0)
+        nbrs = dilated_knn(pts, 0, 8, 1)
+        patch = pts[nbrs] - pts[nbrs].mean(axis=0)
         evals = np.linalg.eigvalsh(patch.T @ patch / len(patch))
         if np.diff(np.sort(evals)).min() < 1e-6:
             return
         rot = geom.random_rotation(np.random.default_rng(seed + 9), "so3")
-        frame = geom.estimate_lrf(pts, 0, nbrs)
-        frame_rot = geom.estimate_lrf(geom.rotate(pts, rot), 0, nbrs)
-        np.testing.assert_allclose(frame_rot.axes, rot @ frame.axes, atol=1e-8)
-
-    def test_matches_batch_path(self, cloud):
-        nbrs = geom.dilated_knn(cloud, 2, geom.NeighborParams(k=6, d=1))
-        frame = geom.estimate_lrf(cloud, 2, nbrs)
-        flat = cloud[nbrs.member_indices]
-        batch = geom.lrf_axes_batch(flat, np.array([0, len(flat)]), cloud[2][None, :])
-        np.testing.assert_array_equal(frame.axes, batch[0])
+        axes = patch_axes(pts, 0, nbrs)
+        axes_rot = patch_axes(geom.rotate(pts, rot), 0, nbrs)
+        np.testing.assert_allclose(axes_rot, rot @ axes, atol=1e-8)
 
 
 class TestProjectToLrf:

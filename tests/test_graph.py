@@ -8,9 +8,9 @@ from rigcn import geom, graph, model
 from conftest import random_cloud, tiny_config
 
 
-def knn_graph(pts, params, rng=None):
-    """The graph over a point set, given its distances from the helper."""
-    return graph.build_knn_graph(pts, geom.squared_distances(pts), params, rng)
+def knn_graph(pts, khat):
+    """The graph weights over a point set, given its distances from the helper."""
+    return graph.build_knn_graph(pts, geom.squared_distances(pts), khat)
 
 
 def dense_renormalize_oracle(weights: np.ndarray) -> np.ndarray:
@@ -24,65 +24,53 @@ def dense_renormalize_oracle(weights: np.ndarray) -> np.ndarray:
 class TestBuildKnnGraph:
     def test_two_points_single_edge_weight(self):
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0]])
-        g = knn_graph(pts, graph.GraphParams(khat=1), None)
+        g = knn_graph(pts, 1)
         # the kernel bandwidth equals the only distance, so exp(-1/2)
-        assert g.weights[0, 1] == pytest.approx(np.exp(-0.5), abs=1e-15)
-        assert g.weights[1, 0] == g.weights[0, 1]
-        assert g.weights[0, 0] == 0.0
+        assert g[0, 1] == pytest.approx(np.exp(-0.5), abs=1e-15)
+        assert g[1, 0] == g[0, 1]
+        assert g[0, 0] == 0.0
 
     def test_coincident_points_edge_weight_one(self):
         pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [5.0, 0, 0], [9.0, 0, 0]])
-        g = knn_graph(pts, graph.GraphParams(khat=1), None)
-        assert g.weights[0, 1] == 1.0
+        g = knn_graph(pts, 1)
+        assert g[0, 1] == 1.0
 
     def test_rotation_invariance(self):
         pts = random_cloud(3, 20)
         rot = geom.random_rotation(np.random.default_rng(4), "so3")
-        a = knn_graph(pts, graph.GraphParams(khat=4), None)
-        b = knn_graph(geom.rotate(pts, rot), graph.GraphParams(khat=4), None)
-        np.testing.assert_allclose(a.weights, b.weights, atol=1e-12)
+        a = knn_graph(pts, 4)
+        b = knn_graph(geom.rotate(pts, rot), 4)
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_khat_must_be_below_node_count(self):
+    @pytest.mark.parametrize("khat", [0, 5, 6])
+    def test_khat_must_be_positive_and_below_node_count(self, khat):
         with pytest.raises(ValueError):
-            knn_graph(random_cloud(0, 5), graph.GraphParams(khat=5), None)
+            knn_graph(random_cloud(0, 5), khat)
 
     def test_too_few_nodes(self):
         with pytest.raises(graph.DegenerateGraphError):
-            knn_graph([[0.0, 0, 0]], graph.GraphParams(khat=1), None)
-
-    def test_stochastic_khat_sampling_is_seeded(self):
-        pts = random_cloud(1, 20)
-        params = graph.GraphParams(khat=(2, 8), stochastic=True)
-        a = knn_graph(pts, params, np.random.default_rng(7))
-        b = knn_graph(pts, params, np.random.default_rng(7))
-        np.testing.assert_array_equal(a.weights, b.weights)
-
-    def test_midpoint_when_deterministic(self):
-        pts = random_cloud(1, 20)
-        a = knn_graph(pts, graph.GraphParams(khat=(2, 8), stochastic=False), None)
-        b = knn_graph(pts, graph.GraphParams(khat=5), None)
-        np.testing.assert_array_equal(a.weights, b.weights)
+            knn_graph([[0.0, 0, 0]], 1)
 
     @given(st.integers(0, 300), st.integers(1, 6))
     @settings(max_examples=30, deadline=None)
     def test_weight_matrix_invariants(self, seed, khat):
         pts = random_cloud(seed, 12)
-        g = knn_graph(pts, graph.GraphParams(khat=khat), None)
-        assert np.abs(g.weights - g.weights.T).max() < 1e-12
-        assert np.diag(g.weights).max() == 0.0
-        assert g.weights.min() >= 0.0
-        assert g.weights.max() <= 1.0
+        g = knn_graph(pts, khat)
+        assert np.abs(g - g.T).max() < 1e-12
+        assert np.diag(g).max() == 0.0
+        assert g.min() >= 0.0
+        assert g.max() <= 1.0
         # every node has at least khat incident edges
-        assert ((g.weights > 0).sum(axis=1) >= khat).all()
+        assert ((g > 0).sum(axis=1) >= khat).all()
 
     @given(st.integers(0, 300))
     @settings(max_examples=20, deadline=None)
     def test_permutation_equivariance(self, seed):
         pts = random_cloud(seed, 14)
         perm = np.random.default_rng(seed + 11).permutation(len(pts))
-        a = knn_graph(pts, graph.GraphParams(khat=3), None)
-        b = knn_graph(pts[perm], graph.GraphParams(khat=3), None)
-        np.testing.assert_allclose(b.weights, a.weights[np.ix_(perm, perm)], atol=1e-12)
+        a = knn_graph(pts, 3)
+        b = knn_graph(pts[perm], 3)
+        np.testing.assert_allclose(b, a[np.ix_(perm, perm)], atol=1e-12)
 
 
 def grid(nx, ny, nz, seed):
@@ -119,11 +107,11 @@ class TestTiesAtTheCut:
             return out
 
         monkeypatch.setattr(geom, "nearest_candidates", capture)
-        g = graph.build_knn_graph(pts, d2, graph.GraphParams(khat=khat), None)
+        g = graph.build_knn_graph(pts, d2, khat)
         monkeypatch.undo()
         ((ranked_d2, nbrs),) = seen
         order = geom.canonical_order(pts)
-        return order[nbrs], g.weights, ranked_d2[:, np.argsort(order)]
+        return order[nbrs], g, ranked_d2[:, np.argsort(order)]
 
     def check_lists(self, monkeypatch, pts, khat):
         block = geom.squared_distances(pts)
@@ -172,16 +160,15 @@ class TestTiesAtTheCut:
 
 class TestRenormalize:
     def test_edgeless_graph_gives_identity(self):
-        g = graph.WeightedGraph(n=4, weights=np.zeros((4, 4)))
-        np.testing.assert_array_equal(graph.renormalize(g).entries, np.eye(4))
+        np.testing.assert_array_equal(graph.renormalize(np.zeros((4, 4))), np.eye(4))
 
     def test_two_node_hand_arithmetic(self):
-        g = graph.WeightedGraph(n=2, weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(graph.renormalize(g).entries, np.full((2, 2), 0.5), atol=1e-15)
+        w = np.array([[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_allclose(graph.renormalize(w), np.full((2, 2), 0.5), atol=1e-15)
 
     def test_three_node_path_against_dense_oracle(self):
         w = np.array([[0.0, 1, 0], [1, 0, 1], [0, 1, 0.0]])
-        out = graph.renormalize(graph.WeightedGraph(n=3, weights=w)).entries
+        out = graph.renormalize(w)
         oracle = dense_renormalize_oracle(w)
         np.testing.assert_allclose(out, oracle, atol=1e-14)
         # frozen values from the dense oracle
@@ -197,7 +184,7 @@ class TestRenormalize:
         raw = rng.uniform(0, 1, size=(n, n))
         w = np.triu(raw, 1)
         w = w + w.T
-        out = graph.renormalize(graph.WeightedGraph(n=n, weights=w)).entries
+        out = graph.renormalize(w)
         assert np.abs(out - out.T).max() < 1e-12
         eigs = np.linalg.eigvalsh(out)
         assert eigs.max() <= 1 + 1e-9
@@ -206,7 +193,7 @@ class TestRenormalize:
 
     def test_spectral_radius_by_power_iteration(self):
         pts = random_cloud(8, 30)
-        out = graph.renormalize(knn_graph(pts, graph.GraphParams(khat=5), None)).entries
+        out = graph.renormalize(knn_graph(pts, 5))
         v = np.random.default_rng(0).normal(size=30)
         for _ in range(200):
             v = out @ v
@@ -217,7 +204,7 @@ class TestRenormalize:
 class TestGraphExport:
     def test_node_and_edge_files(self, tmp_path):
         pts = random_cloud(5, 10)
-        g = knn_graph(pts, graph.GraphParams(khat=3), None)
+        g = knn_graph(pts, 3)
         nodes, edges = tmp_path / "n.txt", tmp_path / "e.txt"
         graph.write_graph_files(pts, g, nodes, edges)
         node_rows = [line.split() for line in nodes.read_text().splitlines()]
@@ -225,7 +212,7 @@ class TestGraphExport:
         got = np.array([[float(v) for v in row[1:]] for row in node_rows])
         np.testing.assert_array_equal(got, pts)
         edge_rows = [line.split() for line in edges.read_text().splitlines()]
-        assert len(edge_rows) == np.count_nonzero(np.triu(g.weights, 1))
+        assert len(edge_rows) == np.count_nonzero(np.triu(g, 1))
         for i, j, w in edge_rows:
             assert 0 <= int(i) < int(j) < 10
-            assert g.weights[int(i), int(j)] == float(w)
+            assert g[int(i), int(j)] == float(w)

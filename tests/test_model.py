@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from rigcn import data, geom, graph, model, nnet
 
 from conftest import random_cloud, tiny_config
+from test_geom import dilated_knn
 
 
 def tiny_net(**overrides):
@@ -41,14 +45,42 @@ class TestConfig:
         with pytest.raises(model.ConfigError):
             tiny_config(level_sizes=(65, 8)).validate()
 
-    def test_round_trip_through_dict(self):
+    def test_round_trip_through_json(self):
         cfg = tiny_config()
-        again = model.config_from_dict(model.config_to_dict(cfg))
+        again = model.from_dict(model.RiGcnConfig, json.loads(json.dumps(asdict(cfg))), "model")
         assert again == cfg
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(model.ConfigError):
-            model.config_from_dict({"bogus": 1})
+            model.from_dict(model.RiGcnConfig, {"bogus": 1}, "model")
+
+    @pytest.mark.parametrize("field", ["k_range", "d_range", "khat_range"])
+    @pytest.mark.parametrize("bounds", [(0, 3), (5, 4)])
+    def test_empty_or_nonpositive_interval_rejected(self, field, bounds):
+        with pytest.raises(model.ConfigError):
+            tiny_config(**{field: bounds}).validate()
+
+
+class TestDrawInterval:
+    def test_midpoint_when_deterministic(self):
+        np.testing.assert_array_equal(model.draw_interval((24, 40), 3, None, False), [32] * 3)
+        np.testing.assert_array_equal(model.draw_interval((1, 4), 2, None, False), [2, 2])
+
+    def test_degenerate_interval(self):
+        rng = np.random.default_rng(0)
+        np.testing.assert_array_equal(model.draw_interval((7, 7), 5, rng, True), [7] * 5)
+
+    def test_seeded_determinism(self):
+        a = model.draw_interval((16, 48), 10, np.random.default_rng(5), True)
+        b = model.draw_interval((16, 48), 10, np.random.default_rng(5), True)
+        np.testing.assert_array_equal(a, b)
+
+    @given(st.integers(0, 200))
+    @settings(max_examples=30, deadline=None)
+    def test_samples_stay_in_interval(self, seed):
+        out = model.draw_interval((3, 9), 50, np.random.default_rng(seed), True)
+        assert out.shape == (50,)
+        assert out.min() >= 3 and out.max() <= 9
 
 
 class TestExtractDescriptors:
@@ -104,10 +136,10 @@ class TestExtractDescriptors:
         ds = np.array([2, 1, 3])
         flat1, off1, flatd, offd = gather(pts, anchors, ks, ds)
         for i, (a, k, d) in enumerate(zip(anchors, ks, ds)):
-            knn = geom.dilated_knn(pts, int(a), geom.NeighborParams(int(k), 1))
-            dil = geom.dilated_knn(pts, int(a), geom.NeighborParams(int(k), int(d)))
-            np.testing.assert_array_equal(flat1[off1[i] : off1[i + 1]], knn.member_indices)
-            np.testing.assert_array_equal(flatd[offd[i] : offd[i + 1]], dil.member_indices)
+            knn = dilated_knn(pts, int(a), int(k), 1)
+            dil = dilated_knn(pts, int(a), int(k), int(d))
+            np.testing.assert_array_equal(flat1[off1[i] : off1[i + 1]], knn)
+            np.testing.assert_array_equal(flatd[offd[i] : offd[i + 1]], dil)
 
     def test_patch_gather_matches_on_tie_heavy_grid(self):
         xs = np.arange(5, dtype=np.float64)
@@ -117,10 +149,10 @@ class TestExtractDescriptors:
         ds = np.full(len(pts), 2)
         flat1, off1, flatd, offd = gather(pts, anchors, ks, ds)
         for i in range(len(pts)):
-            knn = geom.dilated_knn(pts, i, geom.NeighborParams(4, 1))
-            dil = geom.dilated_knn(pts, i, geom.NeighborParams(4, 2))
-            np.testing.assert_array_equal(flat1[off1[i] : off1[i + 1]], knn.member_indices)
-            np.testing.assert_array_equal(flatd[offd[i] : offd[i + 1]], dil.member_indices)
+            knn = dilated_knn(pts, i, 4, 1)
+            dil = dilated_knn(pts, i, 4, 2)
+            np.testing.assert_array_equal(flat1[off1[i] : off1[i + 1]], knn)
+            np.testing.assert_array_equal(flatd[offd[i] : offd[i + 1]], dil)
 
 
     @pytest.mark.parametrize("k, d", [(3, 1), (5, 1), (4, 2), (6, 2)])
@@ -135,10 +167,10 @@ class TestExtractDescriptors:
         ds = np.full(len(sel), d)
         flat1, off1, flatd, offd = model._gather_patches(d2, order, pos, ks, ds)
         for i, a in enumerate(sel):
-            knn = geom.dilated_knn(pts, int(a), geom.NeighborParams(k, 1))
-            dil = geom.dilated_knn(pts, int(a), geom.NeighborParams(k, d))
-            np.testing.assert_array_equal(flat1[off1[i] : off1[i + 1]], knn.member_indices)
-            np.testing.assert_array_equal(flatd[offd[i] : offd[i + 1]], dil.member_indices)
+            knn = dilated_knn(pts, int(a), k, 1)
+            dil = dilated_knn(pts, int(a), k, d)
+            np.testing.assert_array_equal(flat1[off1[i] : off1[i + 1]], knn)
+            np.testing.assert_array_equal(flatd[offd[i] : offd[i + 1]], dil)
 
 
     @pytest.mark.parametrize("k, d", [(3, 1), (10, 1), (20, 1), (3, 2), (6, 2), (10, 2)])
@@ -153,10 +185,10 @@ class TestExtractDescriptors:
         ds = np.full(len(pts), d)
         flat1, off1, flatd, offd = gather(pts, anchors, ks, ds)
         for i in anchors:
-            knn = geom.dilated_knn(pts, int(i), geom.NeighborParams(k, 1))
-            dil = geom.dilated_knn(pts, int(i), geom.NeighborParams(k, d))
-            np.testing.assert_array_equal(flat1[off1[i] : off1[i + 1]], knn.member_indices)
-            np.testing.assert_array_equal(flatd[offd[i] : offd[i + 1]], dil.member_indices)
+            knn = dilated_knn(pts, int(i), k, 1)
+            dil = dilated_knn(pts, int(i), k, d)
+            np.testing.assert_array_equal(flat1[off1[i] : off1[i + 1]], knn)
+            np.testing.assert_array_equal(flatd[offd[i] : offd[i + 1]], dil)
 
 
 class TestQuantizedScan:
@@ -251,9 +283,7 @@ class TestAbstractLevel:
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0]])
         feats = np.array([[2.0], [0.0]])
         w = np.exp(-0.5)
-        a_hat = graph.renormalize(
-            graph.build_knn_graph(pts, geom.squared_distances(pts), graph.GraphParams(khat=1), None)
-        ).entries
+        a_hat = graph.renormalize(graph.build_knn_graph(pts, geom.squared_distances(pts), 1))
         expected_gcn = np.maximum(a_hat @ feats, 0.0).max()
         gcn_net = tiny_net(levels=1, level_sizes=(24,), channels=(2,), khat_range=(1, 1))
         mlp_net = tiny_net(
@@ -285,6 +315,45 @@ class TestAbstractLevel:
         )
         with pytest.raises(graph.DegenerateGraphError):
             model.abstract_level(tiny_model, desc, None, False)
+
+
+class TestLevelGraph:
+    @staticmethod
+    def level(index, **overrides):
+        """A config and one level's descriptors of a 64-point cloud; levels
+        0 and 1 of the tiny config hold 24 and 8 points."""
+        net = tiny_net(**overrides)
+        return net.config, model.level_descriptors(net, random_cloud(1, 64))[index]
+
+    def build(self, desc, khat):
+        return graph.build_knn_graph(desc.points, desc.block, khat)
+
+    def test_stochastic_khat_is_drawn_from_the_generator(self):
+        cfg, desc = self.level(0, khat_range=(2, 8))
+        for seed in range(10):
+            got = model.level_graph(cfg, desc, np.random.default_rng(seed), True)
+            khat = int(np.random.default_rng(seed).integers(2, 9))
+            np.testing.assert_array_equal(got, self.build(desc, khat))
+
+    def test_midpoint_when_deterministic(self):
+        cfg, desc = self.level(0, khat_range=(2, 8))
+        np.testing.assert_array_equal(model.level_graph(cfg, desc, None, False), self.build(desc, 5))
+
+    def test_midpoint_when_khat_toggle_is_off(self):
+        cfg, desc = self.level(0, khat_range=(2, 8), stochastic_khat=False)
+        rng = np.random.default_rng(0)
+        np.testing.assert_array_equal(model.level_graph(cfg, desc, rng, True), self.build(desc, 5))
+        assert rng.integers(1 << 30) == np.random.default_rng(0).integers(1 << 30)
+
+    def test_small_top_level_clamps_the_interval(self):
+        # 8 nodes allow khat <= 7, so (4, 8) draws from (4, 7), midpoint 5.
+        cfg, desc = self.level(1, khat_range=(4, 8))
+        assert len(desc.points) == 8
+        for seed in range(20):
+            got = model.level_graph(cfg, desc, np.random.default_rng(seed), True)
+            khat = int(np.random.default_rng(seed).integers(4, 8))
+            np.testing.assert_array_equal(got, self.build(desc, khat))
+        np.testing.assert_array_equal(model.level_graph(cfg, desc, None, False), self.build(desc, 5))
 
 
 class TestForward:
@@ -441,7 +510,37 @@ class TestTrainEvaluate:
             )
 
 
+# The header of a checkpoint of tiny_config(levels=1, level_sizes=(24,),
+# channels=(8,)): a format change must show up here.
+CHECKPOINT_HEADER = (
+    '{"config":{"abstraction":"gcn","channels":[8],"classifier_hidden":12,"d_range":[1,2],'
+    '"g_hidden":6,"k_range":[4,6],"khat_range":[3,5],"level_sizes":[24],"levels":1,'
+    '"num_classes":4,"num_points":64,"seed":0,"stochastic_d":true,"stochastic_k":true,'
+    '"stochastic_khat":true,"transform_scope":"local"},"params":['
+    '{"name":"l0.g1.w0","shape":[3,6]},{"name":"l0.g1.b0","shape":[1,6]},'
+    '{"name":"l0.g1.w1","shape":[6,4]},{"name":"l0.g1.b1","shape":[1,4]},'
+    '{"name":"l0.g2.w0","shape":[3,6]},{"name":"l0.g2.b0","shape":[1,6]},'
+    '{"name":"l0.g2.w1","shape":[6,4]},{"name":"l0.g2.b1","shape":[1,4]},'
+    '{"name":"l0.f.w0","shape":[8,8]},{"name":"l0.f.b0","shape":[1,8]},'
+    '{"name":"l0.f.w1","shape":[8,8]},{"name":"l0.f.b1","shape":[1,8]},'
+    '{"name":"l0.gcn","shape":[8,8]},'
+    '{"name":"clf.w0","shape":[8,12]},{"name":"clf.b0","shape":[1,12]},'
+    '{"name":"clf.w1","shape":[12,4]},{"name":"clf.b1","shape":[1,4]}],"version":1}'
+)
+
+
 class TestCheckpointRoundTrip:
+    def test_header_is_pinned(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        net = tiny_net(levels=1, level_sizes=(24,), channels=(8,))
+        model.save_model(net, path)
+        raw = path.read_bytes()
+        assert raw[:7] == b"RIGCN1\n"
+        size = int.from_bytes(raw[7:15], "little")
+        assert raw[15 : 15 + size].decode() == CHECKPOINT_HEADER
+        n_values = sum(p.value.size for p in net.parameters())
+        assert len(raw) == 15 + size + 8 * n_values == 4675
+
     def test_save_load_bitwise(self, tmp_path, tiny_model):
         path = tmp_path / "m.ckpt"
         model.save_model(tiny_model, path)
