@@ -10,11 +10,9 @@ directory) and is reproducible from (config, seed). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import json
-import os
 import sys
 import time
 import typing
@@ -62,7 +60,6 @@ class TrainingParams:
     epochs: int = 20
     learning_rate: float = 1e-3
     lr_decay: float = 1.0  # per-epoch multiplicative decay
-    optimizer: str = "adam"
     train_rotation: str = "z"
     test_rotation: str = "so3"
 
@@ -85,6 +82,13 @@ def load_experiment_config(path) -> ExperimentConfig:
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: invalid JSON: {e}") from None
     cfg = model_mod.from_dict(ExperimentConfig, payload, "config")
+    # The model is initialised from the top-level seed; a different model seed
+    # would be echoed into config.json without taking effect.
+    if "seed" in payload.get("model", {}) and cfg.model.seed != cfg.seed:
+        raise ConfigError(
+            f"config.model.seed is {cfg.model.seed} but config.seed is {cfg.seed}; "
+            "the model is initialised from config.seed"
+        )
     if cfg.training.train_rotation not in ROTATION_MODES:
         raise ConfigError(f"training.train_rotation must be one of {ROTATION_MODES}")
     if cfg.training.test_rotation not in ROTATION_MODES:
@@ -98,7 +102,7 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if getattr(args, "out", None) is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
@@ -112,8 +116,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         if not sep:
             raise ConfigError(f"--ablation expects key=value, got {item!r}")
         model_cfg = _set_model_field(model_cfg, key, raw)
-    if getattr(args, "transform_scope", None) is not None:
-        model_cfg = _set_model_field(model_cfg, "transform_scope", args.transform_scope)
     model_cfg.validate()
     return dataclasses.replace(cfg, model=model_cfg)
 
@@ -163,7 +165,13 @@ def _check_cloud_size(source: str, cloud: np.ndarray, config: RiGcnConfig) -> No
         raise ConfigError(f"cloud {source!r} has {len(cloud)} points but level 0 needs {need}")
 
 
-def _check_cloud_sizes(split: data.DatasetSplit, config: RiGcnConfig) -> None:
+def _check_dataset(split: data.DatasetSplit, config: RiGcnConfig) -> None:
+    """Reject a dataset the model cannot run: a class count other than the
+    model's, or a cloud smaller than its level 0."""
+    if len(split.class_names) != config.num_classes:
+        raise ConfigError(
+            f"dataset has {len(split.class_names)} classes but the model expects {config.num_classes}"
+        )
     for item in split.train + split.test:
         _check_cloud_size(item.source_id, item.cloud, config)
 
@@ -189,17 +197,15 @@ def _metrics_writer(path: Path):
 
 
 def _require_checkpoint(args) -> Path:
-    path = getattr(args, "checkpoint", None)
-    if path is None:
+    if args.checkpoint is None:
         raise ConfigError("--checkpoint is required for this command")
-    return Path(path)
+    return Path(args.checkpoint)
 
 
 def _model_from_args(cfg: ExperimentConfig, args) -> model_mod.RiGcnModel:
     """Checkpointed model if --checkpoint was given, else a fresh init."""
-    path = getattr(args, "checkpoint", None)
-    if path is not None:
-        return model_mod.load_model(path)
+    if args.checkpoint is not None:
+        return model_mod.load_model(args.checkpoint)
     return model_mod.RiGcnModel(cfg.model)
 
 
@@ -209,14 +215,10 @@ def _model_from_args(cfg: ExperimentConfig, args) -> model_mod.RiGcnModel:
 def cmd_train(args) -> int:
     cfg = _apply_overrides(load_experiment_config(args.config), args)
     split = _load_dataset(cfg, Path(args.config).parent)
-    _check_cloud_sizes(split, cfg.model)
-    if len(split.class_names) != cfg.model.num_classes:
-        raise ConfigError(
-            f"dataset has {len(split.class_names)} classes but model expects {cfg.model.num_classes}"
-        )
+    _check_dataset(split, cfg.model)
     out = _prepare_out(cfg)
     net = model_mod.RiGcnModel(cfg.model)
-    opt = nnet.OptimizerState(kind=cfg.training.optimizer, learning_rate=cfg.training.learning_rate)
+    opt = nnet.OptimizerState(learning_rate=cfg.training.learning_rate)
     train_clouds, train_labels = split.arrays("train")
     test_clouds, test_labels = split.arrays("test")
     train_rng = np.random.default_rng([cfg.seed, _STREAM_TRAIN])
@@ -275,12 +277,7 @@ def cmd_evaluate(args) -> int:
     cfg = _apply_overrides(load_experiment_config(args.config), args)
     net = model_mod.load_model(_require_checkpoint(args))
     split = _load_dataset(cfg, Path(args.config).parent)
-    _check_cloud_sizes(split, net.config)
-    if len(split.class_names) != net.config.num_classes:
-        raise ConfigError(
-            f"dataset has {len(split.class_names)} classes but checkpoint expects "
-            f"{net.config.num_classes}"
-        )
+    _check_dataset(split, net.config)
     modes = [m.strip() for m in args.modes.split(",")]
     for mode in modes:
         if mode not in ROTATION_MODES:
@@ -312,10 +309,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_invariance_check(args) -> int:
+    if args.checkpoint is not None and args.ablation:
+        raise ConfigError(
+            "--ablation does not apply with --checkpoint: the checkpoint's config decides the model"
+        )
     cfg = _apply_overrides(load_experiment_config(args.config), args)
     net = _model_from_args(cfg, args)
     split = _load_dataset(cfg, Path(args.config).parent)
-    _check_cloud_sizes(split, net.config)
+    _check_dataset(split, net.config)
     items = split.train + split.test
     rng = np.random.default_rng([cfg.seed, _STREAM_TRIALS])
     worst = 0.0
@@ -359,37 +360,21 @@ def cmd_robustness(args) -> int:
     if any(o < 0 for o in outliers):
         raise ConfigError("outlier counts must be >= 0")
     split = _load_dataset(cfg, Path(args.config).parent)
-    _check_cloud_sizes(split, net.config)
+    _check_dataset(split, net.config)
     out = _prepare_out(cfg)
     clouds, labels = split.arrays("test")
     mode = cfg.training.test_rotation
-
-    def run_cell(si: int, oi: int) -> float:
-        spec = geom.CorruptionSpec(noise_sigma=sigmas[si], outlier_count=outliers[oi])
-        corrupt_rng = np.random.default_rng([cfg.seed, _STREAM_CORRUPT, si, oi])
-        corrupted = [geom.corrupt(c, spec, corrupt_rng) for c in clouds]
-        eval_rng = np.random.default_rng([cfg.seed, _STREAM_EVAL])
-        return model_mod.evaluate(net, corrupted, labels, mode, eval_rng).accuracy
-
-    cells = [(si, oi) for si in range(len(sigmas)) for oi in range(len(outliers))]
-    workers = max(1, int(os.environ.get("RIGCN_THREADS", "1")))
-    results: dict[tuple[int, int], float] = {}
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(run_cell, si, oi): (si, oi) for si, oi in cells}
-            for fut in concurrent.futures.as_completed(futs):
-                results[futs[fut]] = fut.result()
-    else:
-        for si, oi in cells:
-            results[(si, oi)] = run_cell(si, oi)
-
     path = out / "robustness.csv"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sigma", "outliers", "accuracy"])
         for si, sigma in sorted(enumerate(sigmas), key=lambda t: t[1]):
             for oi, count in sorted(enumerate(outliers), key=lambda t: t[1]):
-                acc = results[(si, oi)]
+                spec = geom.CorruptionSpec(noise_sigma=sigma, outlier_count=count)
+                corrupt_rng = np.random.default_rng([cfg.seed, _STREAM_CORRUPT, si, oi])
+                corrupted = [geom.corrupt(c, spec, corrupt_rng) for c in clouds]
+                eval_rng = np.random.default_rng([cfg.seed, _STREAM_EVAL])
+                acc = model_mod.evaluate(net, corrupted, labels, mode, eval_rng).accuracy
                 writer.writerow([_format_float(sigma), count, _format_float(acc)])
                 print(f"sigma={sigma} outliers={count} accuracy={acc:.4f}")
     print(f"robustness table written to {path}")
@@ -476,14 +461,21 @@ def cmd_gen_data(args) -> int:
 # --- entry point -------------------------------------------------------------
 
 
-def _add_common(sub, config_required=True):
+_FLAGS = {
+    "--out": dict(default=None, help="override the config output directory"),
+    "--checkpoint": dict(default=None, help="model checkpoint path"),
+    "--ablation": dict(action="append", default=None, metavar="KEY=VALUE",
+                       help="override a model config field (repeatable)"),
+}
+
+
+def _add_common(sub, *flags, config_required=True):
+    """--config and --seed, which every command reads, then the named flags
+    of ``_FLAGS``; a command declares only the flags it reads."""
     sub.add_argument("--config", required=config_required, help="experiment config JSON")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sub.add_argument("--out", default=None, help="override the config output directory")
-    sub.add_argument("--checkpoint", default=None, help="model checkpoint path")
-    sub.add_argument(
-        "--deterministic", action="store_true", help="zero wall times for bitwise-stable outputs"
-    )
+    for flag in flags:
+        sub.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -491,32 +483,31 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("train", help="train a model and write checkpoint + metrics")
-    _add_common(p)
+    _add_common(p, "--out", "--checkpoint", "--ablation")
+    p.add_argument(
+        "--deterministic", action="store_true", help="zero wall times for bitwise-stable outputs"
+    )
     p.add_argument("--epochs", type=int, default=None, help="override training.epochs")
-    p.add_argument("--ablation", action="append", default=None, metavar="KEY=VALUE",
-                   help="override a model config field (repeatable)")
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("evaluate", help="evaluate a checkpoint under rotation protocols")
-    _add_common(p)
+    _add_common(p, "--out", "--checkpoint")
     p.add_argument("--modes", default="so3", help="comma-separated rotation modes (none,z,so3)")
     p.set_defaults(func=cmd_evaluate)
 
     p = subs.add_parser("invariance-check", help="verify logits are rotation-invariant")
-    _add_common(p)
+    _add_common(p, "--checkpoint", "--ablation")
     p.add_argument("--trials", type=int, default=20, help="number of (cloud, rotation) pairs")
-    p.add_argument("--transform-scope", choices=("local", "global"), default=None)
-    p.add_argument("--ablation", action="append", default=None, metavar="KEY=VALUE")
     p.set_defaults(func=cmd_invariance_check)
 
     p = subs.add_parser("robustness", help="accuracy under noise/outlier corruption grid")
-    _add_common(p)
+    _add_common(p, "--out", "--checkpoint")
     p.add_argument("--sigmas", default="0,0.02,0.04,0.06,0.08,0.1", help="noise sigma list")
     p.add_argument("--outliers", default="0,10,50,100", help="outlier count list")
     p.set_defaults(func=cmd_robustness)
 
     p = subs.add_parser("export-graphs", help="write per-level node/edge files for one cloud")
-    _add_common(p)
+    _add_common(p, "--out", "--checkpoint")
     p.add_argument("--cloud", required=True, help="input cloud (.xyz)")
     p.set_defaults(func=cmd_export_graphs)
 
@@ -525,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = subs.add_parser("gen-data", help="generate a synthetic dataset with a manifest")
-    _add_common(p)
+    _add_common(p, "--out")
     p.set_defaults(func=cmd_gen_data)
     return parser
 

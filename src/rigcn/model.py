@@ -244,18 +244,19 @@ def _gather_patches(
     order: np.ndarray,
     pos: np.ndarray,
     ks: np.ndarray,
-    ds: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Member indices for the k-NN and dilated patches of many anchors.
+    dilations: tuple[np.ndarray | int, ...],
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Member indices of many anchors' patches, one patch set per dilation.
 
     ``d2`` holds each anchor's squared distances to every point, columns in
     the canonical order ``order``, as ``geom.farthest_point_sampling``
     returns them; ``pos`` is each anchor's column, and these self entries
-    are set to inf in place. Returns (flat_knn, offsets_knn, flat_dilated,
-    offsets_dilated) where the flat arrays index the points in input order.
-    Patch i holds the members at positions 0, d, 2d, ... of the anchor's
-    candidate list, sorted by distance with the tie rule of
-    ``geom.canonical_order``, with d=1 and d=ds[i] respectively. A span
+    are set to inf in place. Each item of ``dilations`` is a per-anchor
+    array or a scalar d. Returns (offsets, one flat member array per
+    dilation), where the flat arrays index the points in input order and
+    patch i of every set spans ``offsets[i]:offsets[i + 1]``. Patch i holds
+    the members at positions 0, d, 2d, ... of the anchor's candidate list,
+    sorted by distance with the tie rule of ``geom.canonical_order``. A span
     ``(k - 1) * d`` past the n - 1 candidates clamps d to
     ``max(1, (n - 1) // k)``; if k still exceeds the candidates, the patch is
     padded by repeating the nearest one.
@@ -267,22 +268,19 @@ def _gather_patches(
     # patch has exactly k members and gathers stay uniform.
     ks = np.asarray(ks, dtype=np.int64)
     n_cand = n - 1
-    d1 = np.ones(m, dtype=np.int64)
-    d1_eff = np.where((ks - 1) * d1 >= n_cand, np.maximum(1, n_cand // ks), d1)
-    dd_eff = np.where((ks - 1) * ds >= n_cand, np.maximum(1, n_cand // ks), ds)
-    take1 = np.where((ks - 1) * d1_eff < n_cand, ks, n_cand)
-    taked = np.where((ks - 1) * dd_eff < n_cand, ks, n_cand)
     off = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(ks, out=off[1:])
     pos_in_seg = np.arange(off[-1]) - np.repeat(off[:-1], ks)
-    cols1 = np.where(pos_in_seg < np.repeat(take1, ks), pos_in_seg * np.repeat(d1_eff, ks), 0)
-    colsd = np.where(pos_in_seg < np.repeat(taked, ks), pos_in_seg * np.repeat(dd_eff, ks), 0)
-    used_max = int(max(cols1.max(), colsd.max()))
+    cols = []
+    for ds in dilations:
+        d_eff = np.where((ks - 1) * ds >= n_cand, np.maximum(1, n_cand // ks), ds)
+        take = np.where((ks - 1) * d_eff < n_cand, ks, n_cand)
+        cols.append(np.where(pos_in_seg < np.repeat(take, ks), pos_in_seg * np.repeat(d_eff, ks), 0))
 
     # Only a sorted prefix of each candidate list is ever consumed.
-    cand = order[geom.nearest_candidates(d2, used_max + 1)]
+    cand = order[geom.nearest_candidates(d2, max(int(c.max()) for c in cols) + 1)]
     rows = np.repeat(np.arange(m), ks)
-    return cand[rows, cols1], off, cand[rows, colsd], off
+    return off, [cand[rows, c] for c in cols]
 
 
 def _project_segments(
@@ -320,15 +318,15 @@ def extract_descriptors(
     anchors = points[sel]
     ks = draw_interval(cfg.k_range, m0, rng, stochastic and cfg.stochastic_k)
     ds = draw_interval(cfg.d_range, m0, rng, stochastic and cfg.stochastic_d)
-    flat1, off1, flatd, offd = _gather_patches(d2, order, pos, ks, ds)
+    off, (flat1, flatd) = _gather_patches(d2, order, pos, ks, (1, ds))
     if cfg.transform_scope == "global":
         axes = np.broadcast_to(np.eye(3), (m0, 3, 3)).copy()
     else:
-        axes = geom.lrf_axes_batch(points[flatd], offd, anchors)
-    proj1 = _project_segments(points, flat1, off1, anchors, axes)
-    projd = _project_segments(points, flatd, offd, anchors, axes)
-    h1 = nnet.segment_maxpool(nnet.mlp(model.g1[0], nnet.constant(proj1)), off1)
-    hd = nnet.segment_maxpool(nnet.mlp(model.g2, nnet.constant(projd)), offd)
+        axes = geom.lrf_axes_batch(points[flatd], off, anchors)
+    proj1 = _project_segments(points, flat1, off, anchors, axes)
+    projd = _project_segments(points, flatd, off, anchors, axes)
+    h1 = nnet.segment_maxpool(nnet.mlp(model.g1[0], nnet.constant(proj1)), off)
+    hd = nnet.segment_maxpool(nnet.mlp(model.g2, nnet.constant(projd)), off)
     features = nnet.mlp(model.f[0], nnet.concat_cols([h1, hd]))
     return DescriptorSet(level=0, points=anchors, axes=axes, features=features, block=block)
 
@@ -361,7 +359,7 @@ def extend_descriptors(
     # Dilations are drawn and not used: the draw keeps the generator's stream,
     # and so every stochastic forward and trained checkpoint, as it has been.
     draw_interval(cfg.d_range, m_l, rng, stochastic and cfg.stochastic_d)
-    flat, off, _, _ = _gather_patches(d2, order, pos, ks, np.ones(m_l, dtype=np.int64))
+    off, (flat,) = _gather_patches(d2, order, pos, ks, (1,))
     proj = _project_segments(prev.points, flat, off, anchors, axes)
     h_coord = nnet.segment_maxpool(nnet.mlp(model.g1[level], nnet.constant(proj)), off)
     h_desc = nnet.segment_maxpool(

@@ -259,9 +259,8 @@ def mlp(params: list[Parameter], x: Node) -> Node:
 
 @dataclass
 class OptimizerState:
-    """Adaptive-moment (default) or plain SGD update state."""
+    """Adaptive-moment (Adam) update state."""
 
-    kind: str = "adam"
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -276,21 +275,15 @@ def optimizer_step(state: OptimizerState, params: list[Parameter]) -> None:
         if not np.all(np.isfinite(p.grad)):
             raise TrainingDivergenceError(f"non-finite gradient in parameter {p.name!r}")
     state.step += 1
-    if state.kind == "sgd":
-        for p in params:
-            p.value -= state.learning_rate * p.grad
-    elif state.kind == "adam":
-        b1, b2 = state.beta1, state.beta2
-        for p in params:
-            m, v = state.slots.get(p.name, (np.zeros_like(p.value), np.zeros_like(p.value)))
-            m = b1 * m + (1 - b1) * p.grad
-            v = b2 * v + (1 - b2) * p.grad**2
-            state.slots[p.name] = (m, v)
-            m_hat = m / (1 - b1**state.step)
-            v_hat = v / (1 - b2**state.step)
-            p.value -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    else:
-        raise ValueError(f"unknown optimizer kind {state.kind!r}")
+    b1, b2 = state.beta1, state.beta2
+    for p in params:
+        m, v = state.slots.get(p.name, (np.zeros_like(p.value), np.zeros_like(p.value)))
+        m = b1 * m + (1 - b1) * p.grad
+        v = b2 * v + (1 - b2) * p.grad**2
+        state.slots[p.name] = (m, v)
+        m_hat = m / (1 - b1**state.step)
+        v_hat = v / (1 - b2**state.step)
+        p.value -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
     for p in params:
         p.zero_grad()
 

@@ -107,7 +107,6 @@ CONFIG_ECHO = """\
     "epochs": 0,
     "learning_rate": 0.001,
     "lr_decay": 1.0,
-    "optimizer": "adam",
     "test_rotation": "so3",
     "train_rotation": "z"
   }
@@ -122,6 +121,14 @@ def manifest_with_short_cloud(tmp_path):
     xyz = tmp_path / "ds" / "clouds" / "cube_0000.xyz"
     xyz.write_text("".join(xyz.read_text().splitlines(keepends=True)[:10]))
     return tmp_path / "ds" / "manifest.csv"
+
+
+def exit_code(argv):
+    """``cli.main``'s return code, or the code argparse exits with."""
+    try:
+        return cli.main(argv)
+    except SystemExit as e:
+        return e.code
 
 
 def read_metrics(path):
@@ -226,6 +233,20 @@ class TestTrain:
     def test_dataset_class_mismatch_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, model={"num_classes": 5})
         assert cli.main(["train", "--config", str(cfg)]) == 2
+
+    def test_model_seed_other_than_the_seed_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, model={"seed": 5})
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        assert "config.model.seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_echoed_config_with_its_model_seed_is_valid_input(self, tmp_path):
+        cfg = write_config(tmp_path, model={"seed": 3})
+        assert cli.main(["train", "--config", str(cfg), "--seed", "9", "--epochs", "0"]) == 0
+        echo = tmp_path / "out" / "config.json"
+        loaded = cli.load_experiment_config(echo)
+        assert loaded.seed == loaded.model.seed == 9
+        assert cli.main(["train", "--config", str(echo), "--epochs", "0"]) == 0
 
     def test_short_manifest_cloud_exits_2_before_training(self, tmp_path, capsys):
         manifest = manifest_with_short_cloud(tmp_path)
@@ -335,8 +356,8 @@ class TestInvarianceCheck:
                 str(cfg),
                 "--trials",
                 "10",
-                "--transform-scope",
-                "global",
+                "--ablation",
+                "transform_scope=global",
             ]
         )
         assert code == 0
@@ -396,6 +417,14 @@ class TestRobustness:
         assert len(rows) == 4
         got = [(float(r["sigma"]), int(r["outliers"])) for r in rows]
         assert got == [(0.0, 0), (0.0, 5), (0.02, 0), (0.02, 5)]
+
+    @pytest.mark.parametrize("classes", [["sphere", "cube"], ["sphere", "cube", "torus", "cone", "helix"]])
+    def test_class_count_mismatch_exits_2_before_writing(self, trained, tmp_path, classes):
+        # The checkpoint has 3 classes: 2 used to score, 5 failed mid-sweep.
+        _, ckpt, _ = trained
+        cfg = write_config(tmp_path, model={"num_classes": len(classes)}, dataset={"classes": classes})
+        assert cli.main(["robustness", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_negative_sigma_exits_2(self, trained):
         cfg, ckpt, _ = trained
@@ -522,6 +551,53 @@ class TestGenData:
             dataset={"kind": "manifest", "path": str(tmp_path / "ds" / "manifest.csv")},
         )
         assert cli.main(["train", "--config", str(train_cfg), "--epochs", "1"]) == 0
+
+
+class TestRemovedSettings:
+    @pytest.mark.parametrize(
+        "base, removed, overrides",
+        [
+            (["evaluate", "--checkpoint", "{ckpt}"], ["--deterministic"], {}),
+            (["invariance-check"], ["--deterministic"], {}),
+            (["robustness", "--checkpoint", "{ckpt}"], ["--deterministic"], {}),
+            (["export-graphs", "--cloud", "{cloud}"], ["--deterministic"], {}),
+            (["gradcheck"], ["--deterministic"], {}),
+            (["gen-data"], ["--deterministic"], {}),
+            (["gen-data"], ["--checkpoint", "{ckpt}"], {}),
+            (["gradcheck"], ["--checkpoint", "{ckpt}"], {}),
+            (["invariance-check"], ["--out", "{out}"], {}),
+            (["gradcheck"], ["--out", "{out}"], {}),
+            (["invariance-check"], ["--transform-scope", "global"], {}),
+            (["invariance-check", "--checkpoint", "{ckpt}"], ["--ablation", "abstraction=mlp"], {}),
+            (["train"], [], {"training": {"optimizer": "adam"}}),
+        ],
+        ids=[
+            "evaluate--deterministic",
+            "invariance-check--deterministic",
+            "robustness--deterministic",
+            "export-graphs--deterministic",
+            "gradcheck--deterministic",
+            "gen-data--deterministic",
+            "gen-data--checkpoint",
+            "gradcheck--checkpoint",
+            "invariance-check--out",
+            "gradcheck--out",
+            "invariance-check--transform-scope",
+            "invariance-check--checkpoint-with--ablation",
+            "training.optimizer",
+        ],
+    )
+    def test_exits_2_and_writes_nothing(self, trained, tmp_path, base, removed, overrides):
+        _, ckpt, _ = trained
+        cloud = tmp_path / "cloud.xyz"
+        data.write_xyz(geom.normalize_unit_sphere(np.random.default_rng(0).normal(size=(64, 3))), cloud)
+        cfg = write_config(tmp_path, **overrides)
+        paths = {"ckpt": ckpt, "cloud": cloud, "out": tmp_path / "out"}
+        base = [base[0], "--config", str(cfg)] + [a.format(**paths) for a in base[1:]]
+        # Without the removed setting the command line is accepted.
+        cli.build_parser().parse_args(base)
+        assert exit_code(base + [a.format(**paths) for a in removed]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestDeskPreset:

@@ -17,11 +17,13 @@ def tiny_net(**overrides):
 
 
 def gather(pts, anchors, ks, ds):
-    """Patch gather fed as FPS feeds it: anchor rows with canonical columns."""
+    """Patch gather fed as FPS feeds it: anchor rows with canonical columns.
+    Returns (flat_knn, offsets, flat_dilated, offsets)."""
     order = geom.canonical_order(pts)
     pos = np.argsort(order)[anchors]
     d2 = geom.squared_distances(pts)[anchors][:, order]
-    return model._gather_patches(d2, order, pos, ks, ds)
+    off, (flat1, flatd) = model._gather_patches(d2, order, pos, ks, (1, ds))
+    return flat1, off, flatd, off
 
 
 class TestConfig:
@@ -165,7 +167,8 @@ class TestExtractDescriptors:
         sel, d2, order, pos, _ = model._sample(pts, 12, None)
         ks = np.full(len(sel), k)
         ds = np.full(len(sel), d)
-        flat1, off1, flatd, offd = model._gather_patches(d2, order, pos, ks, ds)
+        off1, (flat1, flatd) = model._gather_patches(d2, order, pos, ks, (1, ds))
+        offd = off1
         for i, a in enumerate(sel):
             knn = dilated_knn(pts, int(a), k, 1)
             dil = dilated_knn(pts, int(a), k, d)
