@@ -147,19 +147,23 @@ def _prepare_out(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _load_dataset(cfg: ExperimentConfig, config_dir: Path | None) -> data.DatasetSplit:
+def _load_dataset(cfg: ExperimentConfig, config_path) -> data.DatasetSplit:
+    """The configured dataset; a relative manifest path is read from the
+    config file's directory."""
     if cfg.dataset.kind == "manifest":
-        path = Path(cfg.dataset.path)
-        if not path.is_absolute() and config_dir is not None:
-            path = config_dir / path
-        return data.load_manifest(path)
+        return data.load_manifest(Path(config_path).parent / cfg.dataset.path)
     rng = np.random.default_rng([cfg.seed, _STREAM_DATA])
     return data.generate_synthetic_dataset(cfg.dataset, rng)
 
 
-def _check_cloud_size(source: str, cloud: np.ndarray, config: RiGcnConfig) -> None:
-    """Reject a cloud smaller than the model's level 0, so the command fails
-    before it writes any output."""
+def _check_cloud(source: str, cloud: np.ndarray, config: RiGcnConfig) -> None:
+    """Reject a cloud the model cannot run: not an (N, 3) array of finite
+    coordinates, or smaller than the model's level 0. Commands call this
+    before they write any output."""
+    try:
+        geom.as_cloud(cloud)
+    except ValueError as e:
+        raise ConfigError(f"cloud {source!r}: {e}") from None
     need = config.resolved_level_sizes()[0]
     if len(cloud) < need:
         raise ConfigError(f"cloud {source!r} has {len(cloud)} points but level 0 needs {need}")
@@ -167,13 +171,13 @@ def _check_cloud_size(source: str, cloud: np.ndarray, config: RiGcnConfig) -> No
 
 def _check_dataset(split: data.DatasetSplit, config: RiGcnConfig) -> None:
     """Reject a dataset the model cannot run: a class count other than the
-    model's, or a cloud smaller than its level 0."""
+    model's, or a cloud ``_check_cloud`` rejects."""
     if len(split.class_names) != config.num_classes:
         raise ConfigError(
             f"dataset has {len(split.class_names)} classes but the model expects {config.num_classes}"
         )
     for item in split.train + split.test:
-        _check_cloud_size(item.source_id, item.cloud, config)
+        _check_cloud(item.source_id, item.cloud, config)
 
 
 def _format_float(x: float) -> str:
@@ -196,10 +200,10 @@ def _metrics_writer(path: Path):
     return fh, writer
 
 
-def _require_checkpoint(args) -> Path:
-    if args.checkpoint is None:
-        raise ConfigError("--checkpoint is required for this command")
-    return Path(args.checkpoint)
+def _write_metrics(writer, cfg, protocol, epoch, split, result, per_class="", wall=0.0) -> None:
+    """One ``METRICS_COLUMNS`` row for an ``EpochMetrics`` or ``EvalResult``."""
+    accuracy, loss, wall_time = (_format_float(x) for x in (result.accuracy, result.mean_loss, wall))
+    writer.writerow([cfg.experiment_id, protocol, epoch, split, accuracy, per_class, loss, wall_time])
 
 
 def _model_from_args(cfg: ExperimentConfig, args) -> model_mod.RiGcnModel:
@@ -209,12 +213,26 @@ def _model_from_args(cfg: ExperimentConfig, args) -> model_mod.RiGcnModel:
     return model_mod.RiGcnModel(cfg.model)
 
 
+def _checkpoint_and_test_split(
+    cfg: ExperimentConfig, args
+) -> tuple[model_mod.RiGcnModel, data.DatasetSplit]:
+    """The --checkpoint model and the dataset it is evaluated on, checked to
+    run and to hold test clouds."""
+    if args.checkpoint is None:
+        raise ConfigError("--checkpoint is required for this command")
+    net = model_mod.load_model(args.checkpoint)
+    split = _load_dataset(cfg, args.config)
+    _check_dataset(split, net.config)
+    if not split.test:
+        raise ConfigError("the dataset has no test clouds to evaluate")
+    return net, split
+
+
 # --- commands ---------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
-    cfg = _apply_overrides(load_experiment_config(args.config), args)
-    split = _load_dataset(cfg, Path(args.config).parent)
+def cmd_train(cfg: ExperimentConfig, args) -> int:
+    split = _load_dataset(cfg, args.config)
     _check_dataset(split, cfg.model)
     out = _prepare_out(cfg)
     net = model_mod.RiGcnModel(cfg.model)
@@ -232,35 +250,15 @@ def cmd_train(args) -> int:
                 net, train_clouds, train_labels, cfg.training.train_rotation, opt, train_rng
             )
             wall = 0.0 if cfg.deterministic else time.monotonic() - t0
-            writer.writerow(
-                [
-                    cfg.experiment_id,
-                    protocol,
-                    epoch,
-                    "train",
-                    _format_float(metrics.accuracy),
-                    "",
-                    _format_float(metrics.mean_loss),
-                    _format_float(wall),
-                ]
-            )
+            _write_metrics(writer, cfg, protocol, epoch, "train", metrics, wall=wall)
             if test_clouds:
                 eval_rng = np.random.default_rng([cfg.seed, _STREAM_EVAL, epoch])
                 result = model_mod.evaluate(
                     net, test_clouds, test_labels, cfg.training.test_rotation, eval_rng
                 )
-                writer.writerow(
-                    [
-                        cfg.experiment_id,
-                        protocol,
-                        epoch,
-                        "test",
-                        _format_float(result.accuracy),
-                        _per_class_cell(result, split.class_names),
-                        _format_float(result.mean_loss),
-                        "0" if cfg.deterministic else _format_float(time.monotonic() - t0),
-                    ]
-                )
+                wall = 0.0 if cfg.deterministic else time.monotonic() - t0
+                per_class = _per_class_cell(result, split.class_names)
+                _write_metrics(writer, cfg, protocol, epoch, "test", result, per_class, wall)
                 print(
                     f"epoch {epoch}: train_acc={metrics.accuracy:.4f} "
                     f"train_loss={metrics.mean_loss:.4f} test_acc={result.accuracy:.4f}"
@@ -273,11 +271,8 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _apply_overrides(load_experiment_config(args.config), args)
-    net = model_mod.load_model(_require_checkpoint(args))
-    split = _load_dataset(cfg, Path(args.config).parent)
-    _check_dataset(split, net.config)
+def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
+    net, split = _checkpoint_and_test_split(cfg, args)
     modes = [m.strip() for m in args.modes.split(",")]
     for mode in modes:
         if mode not in ROTATION_MODES:
@@ -289,18 +284,8 @@ def cmd_evaluate(args) -> int:
         for mode in modes:
             rng = np.random.default_rng([cfg.seed, _STREAM_EVAL])
             result = model_mod.evaluate(net, clouds, labels, mode, rng)
-            writer.writerow(
-                [
-                    cfg.experiment_id,
-                    mode,
-                    0,
-                    "test",
-                    _format_float(result.accuracy),
-                    _per_class_cell(result, split.class_names),
-                    _format_float(result.mean_loss),
-                    "0",
-                ]
-            )
+            per_class = _per_class_cell(result, split.class_names)
+            _write_metrics(writer, cfg, mode, 0, "test", result, per_class)
             print(f"mode={mode} accuracy={result.accuracy:.4f}")
             accs = result.per_class_accuracy()
             for i, name in enumerate(split.class_names):
@@ -308,14 +293,13 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_invariance_check(args) -> int:
+def cmd_invariance_check(cfg: ExperimentConfig, args) -> int:
     if args.checkpoint is not None and args.ablation:
         raise ConfigError(
             "--ablation does not apply with --checkpoint: the checkpoint's config decides the model"
         )
-    cfg = _apply_overrides(load_experiment_config(args.config), args)
     net = _model_from_args(cfg, args)
-    split = _load_dataset(cfg, Path(args.config).parent)
+    split = _load_dataset(cfg, args.config)
     _check_dataset(split, net.config)
     items = split.train + split.test
     rng = np.random.default_rng([cfg.seed, _STREAM_TRIALS])
@@ -340,9 +324,10 @@ def cmd_invariance_check(args) -> int:
     return EXIT_CHECK_FAILED
 
 
-def _parse_float_list(raw: str, what: str) -> list[float]:
+def _parse_list(raw: str, what: str, kind) -> list:
+    """Comma-separated values of type ``kind``; at least one."""
     try:
-        values = [float(t) for t in raw.split(",") if t.strip() != ""]
+        values = [kind(t) for t in raw.split(",") if t.strip() != ""]
     except ValueError:
         raise ConfigError(f"invalid {what} list {raw!r}") from None
     if not values:
@@ -350,17 +335,17 @@ def _parse_float_list(raw: str, what: str) -> list[float]:
     return values
 
 
-def cmd_robustness(args) -> int:
-    cfg = _apply_overrides(load_experiment_config(args.config), args)
-    net = model_mod.load_model(_require_checkpoint(args))
-    sigmas = _parse_float_list(args.sigmas, "sigma")
-    outliers = [int(v) for v in _parse_float_list(args.outliers, "outlier")]
-    if any(s < 0 for s in sigmas):
-        raise ConfigError("sigma values must be >= 0")
-    if any(o < 0 for o in outliers):
-        raise ConfigError("outlier counts must be >= 0")
-    split = _load_dataset(cfg, Path(args.config).parent)
-    _check_dataset(split, net.config)
+def cmd_robustness(cfg: ExperimentConfig, args) -> int:
+    net, split = _checkpoint_and_test_split(cfg, args)
+    # Cells run in ascending order; each keeps its list positions as its
+    # corruption seed.
+    sigmas = sorted(enumerate(_parse_list(args.sigmas, "sigma", float)), key=lambda t: t[1])
+    outliers = sorted(enumerate(_parse_list(args.outliers, "outlier", int)), key=lambda t: t[1])
+    grid = [
+        (si, oi, geom.CorruptionSpec(noise_sigma=sigma, outlier_count=count))
+        for si, sigma in sigmas
+        for oi, count in outliers
+    ]
     out = _prepare_out(cfg)
     clouds, labels = split.arrays("test")
     mode = cfg.training.test_rotation
@@ -368,28 +353,25 @@ def cmd_robustness(args) -> int:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sigma", "outliers", "accuracy"])
-        for si, sigma in sorted(enumerate(sigmas), key=lambda t: t[1]):
-            for oi, count in sorted(enumerate(outliers), key=lambda t: t[1]):
-                spec = geom.CorruptionSpec(noise_sigma=sigma, outlier_count=count)
-                corrupt_rng = np.random.default_rng([cfg.seed, _STREAM_CORRUPT, si, oi])
-                corrupted = [geom.corrupt(c, spec, corrupt_rng) for c in clouds]
-                eval_rng = np.random.default_rng([cfg.seed, _STREAM_EVAL])
-                acc = model_mod.evaluate(net, corrupted, labels, mode, eval_rng).accuracy
-                writer.writerow([_format_float(sigma), count, _format_float(acc)])
-                print(f"sigma={sigma} outliers={count} accuracy={acc:.4f}")
+        for si, oi, spec in grid:
+            corrupt_rng = np.random.default_rng([cfg.seed, _STREAM_CORRUPT, si, oi])
+            corrupted = [geom.corrupt(c, spec, corrupt_rng) for c in clouds]
+            eval_rng = np.random.default_rng([cfg.seed, _STREAM_EVAL])
+            acc = model_mod.evaluate(net, corrupted, labels, mode, eval_rng).accuracy
+            sigma, count = spec.noise_sigma, spec.outlier_count
+            writer.writerow([_format_float(sigma), count, _format_float(acc)])
+            print(f"sigma={sigma} outliers={count} accuracy={acc:.4f}")
     print(f"robustness table written to {path}")
     return EXIT_OK
 
 
-def cmd_export_graphs(args) -> int:
-    cfg = _apply_overrides(load_experiment_config(args.config), args)
+def cmd_export_graphs(cfg: ExperimentConfig, args) -> int:
     net = _model_from_args(cfg, args)
     pts = geom.normalize_unit_sphere(data.read_xyz(args.cloud))
-    _check_cloud_size(str(args.cloud), pts, net.config)
+    _check_cloud(str(args.cloud), pts, net.config)
     out = _prepare_out(cfg)
-    descs = model_mod.level_descriptors(net, pts, None, stochastic=False)
-    for desc in descs:
-        weights = model_mod.level_graph(net.config, desc, None, stochastic=False)
+    for desc in model_mod.level_descriptors(net, pts):
+        weights = model_mod.level_graph(net.config, desc)
         nodes = out / f"level{desc.level}_nodes.txt"
         edges = out / f"level{desc.level}_edges.txt"
         graph.write_graph_files(desc.points, weights, nodes, edges)
@@ -413,14 +395,9 @@ def _gradcheck_config(seed: int) -> RiGcnConfig:
     )
 
 
-def cmd_gradcheck(args) -> int:
-    if args.config is not None:
-        cfg = _apply_overrides(load_experiment_config(args.config), args)
-        model_cfg = cfg.model
-        seed = cfg.seed
-    else:
-        seed = args.seed if args.seed is not None else 0
-        model_cfg = _gradcheck_config(seed)
+def cmd_gradcheck(cfg: ExperimentConfig | None, args) -> int:
+    seed = (args.seed or 0) if cfg is None else cfg.seed
+    model_cfg = _gradcheck_config(seed) if cfg is None else cfg.model
     if model_cfg.num_points > 64:
         raise ConfigError("gradcheck requires a small config (num_points <= 64)")
     net = model_mod.RiGcnModel(model_cfg)
@@ -429,7 +406,7 @@ def cmd_gradcheck(args) -> int:
     label = int(rng.integers(model_cfg.num_classes))
 
     def loss_fn():
-        return nnet.cross_entropy(model_mod.forward(net, pts, None, False), label)
+        return nnet.cross_entropy(model_mod.forward(net, pts), label)
 
     errors = nnet.gradient_check_blocks(loss_fn, net.parameters(), eps=1e-6)
     print(f"{'parameter':24s} {'max rel error':>14s}")
@@ -444,11 +421,10 @@ def cmd_gradcheck(args) -> int:
     return EXIT_CHECK_FAILED
 
 
-def cmd_gen_data(args) -> int:
-    cfg = _apply_overrides(load_experiment_config(args.config), args)
+def cmd_gen_data(cfg: ExperimentConfig, args) -> int:
     if cfg.dataset.kind != "synthetic":
         raise ConfigError("gen-data requires a synthetic dataset config")
-    split = _load_dataset(cfg, Path(args.config).parent)
+    split = _load_dataset(cfg, args.config)
     out = Path(cfg.out_dir)
     manifest = data.save_dataset(split, out)
     print(
@@ -524,7 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = None  # only gradcheck runs without --config; it checks a built-in model
+        if args.config is not None:
+            cfg = _apply_overrides(load_experiment_config(args.config), args)
+        return args.func(cfg, args)
     except nnet.TrainingDivergenceError as e:
         print(f"divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGED

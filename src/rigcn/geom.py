@@ -45,8 +45,8 @@ class CorruptionSpec:
     outlier_count: int = 0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.outlier_count < 0:
             raise ValueError(f"outlier_count must be >= 0, got {self.outlier_count}")
 
@@ -206,10 +206,10 @@ def sorted_candidates(points: np.ndarray, anchor_index: int) -> np.ndarray:
     Distance ties are broken by ``canonical_order``, one anchor at a time;
     the batched paths are tested against this.
     """
-    pts = points
-    d2 = squared_distances(pts)[anchor_index]
-    idx = np.arange(len(pts))
-    order = np.lexsort((idx, pts[:, 2], pts[:, 1], pts[:, 0], d2))
+    d2 = squared_distances(points)[anchor_index]
+    rank = np.empty(len(points), dtype=np.int64)
+    rank[canonical_order(points)] = np.arange(len(points))
+    order = np.lexsort((rank, d2))
     return order[order != anchor_index]
 
 

@@ -1,9 +1,11 @@
 """The RI-GCN pipeline: local descriptor extraction, hierarchical descriptor
 extension, per-level graph abstraction, and the classification head.
 
-A forward pass is a pure function of (cloud, parameters) in deterministic
-mode; stochastic mode additionally draws per-anchor neighborhood sizes,
-dilation rates, and per-level graph degrees from the configured intervals.
+A forward pass without a generator is a pure function of (cloud,
+parameters): every interval yields its midpoint. Given a generator, it draws
+per-anchor neighborhood sizes, dilation rates, and per-level graph degrees
+from the configured intervals, each knob only where its ``stochastic_*``
+flag is set.
 """
 
 from __future__ import annotations
@@ -166,6 +168,7 @@ class RiGcnModel:
         self.h: list[list[nnet.Parameter] | None] = []
         self.f: list[list[nnet.Parameter]] = []
         self.gcn_w: list[nnet.Parameter] = []
+        self._params: list[nnet.Parameter] = []
         for l, c in enumerate(channels):
             branch = c // 2
             self.g1.append(nnet.init_mlp(nnet.MlpSpec((3, config.g_hidden, branch)), rng, f"l{l}.g1"))
@@ -178,21 +181,14 @@ class RiGcnModel:
                 )
             self.f.append(nnet.init_mlp(nnet.MlpSpec((c, c, c)), rng, f"l{l}.f"))
             self.gcn_w.append(nnet.init_parameter(f"l{l}.gcn", (c, c), rng))
+            self._params += [*self.g1[l], *(self.g2 if l == 0 else self.h[l]), *self.f[l], self.gcn_w[l]]
         clf_spec = nnet.MlpSpec((sum(channels), config.classifier_hidden, config.num_classes))
         self.clf = nnet.init_mlp(clf_spec, rng, "clf")
+        self._params.extend(self.clf)
 
     def parameters(self) -> list[nnet.Parameter]:
-        params: list[nnet.Parameter] = []
-        for l in range(self.config.levels):
-            params.extend(self.g1[l])
-            if l == 0:
-                params.extend(self.g2)
-            else:
-                params.extend(self.h[l])
-            params.extend(self.f[l])
-            params.append(self.gcn_w[l])
-        params.extend(self.clf)
-        return params
+        """Every parameter in creation order, the order of checkpoints."""
+        return self._params
 
 
 def save_model(model: RiGcnModel, path) -> None:
@@ -214,13 +210,12 @@ def load_model(path) -> RiGcnModel:
     return model
 
 
-def draw_interval(
-    bounds: tuple[int, int], count: int, rng: np.random.Generator | None, stochastic: bool
-) -> np.ndarray:
-    """``count`` integers drawn uniformly from the closed interval ``bounds``,
-    or its midpoint ``(lo + hi) // 2`` repeated when not ``stochastic``."""
+def draw_interval(bounds: tuple[int, int], count: int, rng: np.random.Generator | None) -> np.ndarray:
+    """``count`` integers drawn from ``rng`` uniformly over the closed interval
+    ``bounds``, or without a generator its midpoint ``(lo + hi) // 2``
+    repeated."""
     lo, hi = bounds
-    if stochastic:
+    if rng is not None:
         return rng.integers(lo, hi + 1, size=count)
     return np.full(count, (lo + hi) // 2)
 
@@ -297,10 +292,7 @@ def _project_segments(
 
 
 def extract_descriptors(
-    model: RiGcnModel,
-    points: np.ndarray,
-    rng: np.random.Generator | None,
-    stochastic: bool,
+    model: RiGcnModel, points: np.ndarray, rng: np.random.Generator | None = None
 ) -> DescriptorSet:
     """Level-0 descriptors: one feature row per representative point.
 
@@ -316,8 +308,8 @@ def extract_descriptors(
         raise ConfigError(f"cloud has {len(points)} points but level 0 needs {m0}")
     sel, d2, order, pos, block = _sample(points, m0, None)
     anchors = points[sel]
-    ks = draw_interval(cfg.k_range, m0, rng, stochastic and cfg.stochastic_k)
-    ds = draw_interval(cfg.d_range, m0, rng, stochastic and cfg.stochastic_d)
+    ks = draw_interval(cfg.k_range, m0, rng if cfg.stochastic_k else None)
+    ds = draw_interval(cfg.d_range, m0, rng if cfg.stochastic_d else None)
     off, (flat1, flatd) = _gather_patches(d2, order, pos, ks, (1, ds))
     if cfg.transform_scope == "global":
         axes = np.broadcast_to(np.eye(3), (m0, 3, 3)).copy()
@@ -332,14 +324,10 @@ def extract_descriptors(
 
 
 def extend_descriptors(
-    model: RiGcnModel,
-    prev: DescriptorSet,
-    level: int,
-    rng: np.random.Generator | None,
-    stochastic: bool,
+    model: RiGcnModel, prev: DescriptorSet, rng: np.random.Generator | None = None
 ) -> DescriptorSet:
-    """One hierarchy step: subsample anchors, fuse coordinate and descriptor
-    branches over previous-level neighbors.
+    """The hierarchy step from ``prev`` to the next level: subsample anchors,
+    fuse coordinate and descriptor branches over previous-level neighbors.
 
     Surviving anchors keep the axes estimated at level 0; they are never
     recomputed. The coordinate branch projects neighbor positions with those
@@ -347,6 +335,7 @@ def extend_descriptors(
     previous level's feature rows, max-pooled per anchor.
     """
     cfg = model.config
+    level = prev.level + 1
     m_l = cfg.resolved_level_sizes()[level]
     if m_l > len(prev.points):
         raise ConfigError(
@@ -355,10 +344,10 @@ def extend_descriptors(
     sel, d2, order, pos, block = _sample(prev.points, m_l, prev.block)
     anchors = prev.points[sel]
     axes = prev.axes[sel]
-    ks = draw_interval(cfg.k_range, m_l, rng, stochastic and cfg.stochastic_k)
+    ks = draw_interval(cfg.k_range, m_l, rng if cfg.stochastic_k else None)
     # Dilations are drawn and not used: the draw keeps the generator's stream,
     # and so every stochastic forward and trained checkpoint, as it has been.
-    draw_interval(cfg.d_range, m_l, rng, stochastic and cfg.stochastic_d)
+    draw_interval(cfg.d_range, m_l, rng if cfg.stochastic_d else None)
     off, (flat,) = _gather_patches(d2, order, pos, ks, (1,))
     proj = _project_segments(prev.points, flat, off, anchors, axes)
     h_coord = nnet.segment_maxpool(nnet.mlp(model.g1[level], nnet.constant(proj)), off)
@@ -370,25 +359,19 @@ def extend_descriptors(
 
 
 def level_graph(
-    config: RiGcnConfig,
-    desc: DescriptorSet,
-    rng: np.random.Generator | None,
-    stochastic: bool,
+    config: RiGcnConfig, desc: DescriptorSet, rng: np.random.Generator | None = None
 ) -> np.ndarray:
     """Weights of a level's k-NN graph. The degree khat is drawn from
     ``khat_range`` clamped below the node count, so small top levels stay
     buildable."""
     top = len(desc.points) - 1
     bounds = (min(config.khat_range[0], top), min(config.khat_range[1], top))
-    khat = int(draw_interval(bounds, 1, rng, stochastic and config.stochastic_khat)[0])
+    khat = int(draw_interval(bounds, 1, rng if config.stochastic_khat else None)[0])
     return graph.build_knn_graph(desc.points, desc.block, khat)
 
 
 def abstract_level(
-    model: RiGcnModel,
-    desc: DescriptorSet,
-    rng: np.random.Generator | None,
-    stochastic: bool,
+    model: RiGcnModel, desc: DescriptorSet, rng: np.random.Generator | None = None
 ) -> nnet.Node:
     """Level summary: graph convolution over the level's k-NN graph followed
     by max pooling. The MLP variant drops the adjacency (identity graph)."""
@@ -397,7 +380,7 @@ def abstract_level(
         raise graph.DegenerateGraphError(f"level {desc.level} has {n} < 2 nodes")
     w = model.gcn_w[desc.level]
     if model.config.abstraction == "gcn":
-        weights = level_graph(model.config, desc, rng, stochastic)
+        weights = level_graph(model.config, desc, rng)
         h = nnet.gcn_layer(graph.renormalize(weights), desc.features, w)
     else:
         h = nnet.relu(nnet.linear(w, desc.features))
@@ -405,10 +388,7 @@ def abstract_level(
 
 
 def level_descriptors(
-    model: RiGcnModel,
-    points: np.ndarray,
-    rng: np.random.Generator | None = None,
-    stochastic: bool = False,
+    model: RiGcnModel, points: np.ndarray, rng: np.random.Generator | None = None
 ) -> list[DescriptorSet]:
     """All per-level descriptor sets for one cloud (shared by forward and
     the graph-export path)."""
@@ -417,28 +397,26 @@ def level_descriptors(
     if cfg.transform_scope == "global":
         frame = geom.global_pca_frame(pts)
         pts = geom.project_to_lrf(frame, pts)
-    descs = [extract_descriptors(model, pts, rng, stochastic)]
-    for level in range(1, cfg.levels):
-        descs.append(extend_descriptors(model, descs[-1], level, rng, stochastic))
+    descs = [extract_descriptors(model, pts, rng)]
+    for _ in range(1, cfg.levels):
+        descs.append(extend_descriptors(model, descs[-1], rng))
     return descs
 
 
 def forward(
-    model: RiGcnModel,
-    points: np.ndarray,
-    rng: np.random.Generator | None = None,
-    stochastic: bool = False,
+    model: RiGcnModel, points: np.ndarray, rng: np.random.Generator | None = None
 ) -> nnet.Node:
-    """Class logits for one normalized cloud, as a (1, num_classes) node."""
-    descs = level_descriptors(model, points, rng, stochastic)
-    summaries = [abstract_level(model, d, rng, stochastic) for d in descs]
+    """Class logits for one normalized cloud, as a (1, num_classes) node;
+    stochastic when given a generator."""
+    descs = level_descriptors(model, points, rng)
+    summaries = [abstract_level(model, d, rng) for d in descs]
     fused = summaries[0] if len(summaries) == 1 else nnet.concat_cols(summaries)
     return nnet.mlp(model.clf, fused)
 
 
 def logits(model: RiGcnModel, points: np.ndarray) -> np.ndarray:
     """Deterministic logits as a flat vector."""
-    return forward(model, points, None, stochastic=False).value.ravel()
+    return forward(model, points).value.ravel()
 
 
 @dataclass(frozen=True)
@@ -469,7 +447,7 @@ def train_epoch(
         pts = clouds[idx]
         if rotation_mode != "none":
             pts = geom.rotate(pts, geom.random_rotation(rng, rotation_mode))
-        out = forward(model, pts, rng, stochastic=True)
+        out = forward(model, pts, rng)
         loss_node = nnet.cross_entropy(out, int(labels[idx]))
         loss = float(loss_node.value)
         if not np.isfinite(loss):

@@ -365,8 +365,16 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
                 f"unsupported checkpoint version {version!r} "
                 f"(expected {CHECKPOINT_VERSION}): {path}"
             )
+        entries = header.get("params")
+        # A shape is a list of non-negative ints (bool is not an int here).
+        if "config" not in header or not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("name"), str) and isinstance(e.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in e["shape"])
+            for e in entries
+        ):
+            raise ValueError(f"malformed checkpoint header: {path}")
         values: dict[str, np.ndarray] = {}
-        for entry in header["params"]:
+        for entry in entries:
             shape = tuple(entry["shape"])
             n = int(np.prod(shape))
             raw = fh.read(n * 8)

@@ -128,7 +128,7 @@ class TestCriterion4GradientCorrectness:
         pts = geom.normalize_unit_sphere(rng.normal(size=(config.num_points, 3)))
 
         def loss_fn():
-            return nnet.cross_entropy(model.forward(net, pts, None, False), 2)
+            return nnet.cross_entropy(model.forward(net, pts), 2)
 
         errors = nnet.gradient_check_blocks(loss_fn, net.parameters(), eps=1e-6)
         worst_name = max(errors, key=errors.get)

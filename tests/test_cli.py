@@ -114,13 +114,19 @@ CONFIG_ECHO = """\
 """
 
 
-def manifest_with_short_cloud(tmp_path):
-    """A generated dataset whose first cube cloud is cut to 10 points."""
+def manifest_with_edited_cloud(tmp_path, source_id, edit):
+    """A generated dataset whose cloud ``source_id`` has its lines replaced
+    by ``edit(lines)``; cube_0000 is a train cloud, cube_0004 a test one."""
     gen_cfg = write_config(tmp_path, name="gen.json", out_dir=str(tmp_path / "ds"))
     assert cli.main(["gen-data", "--config", str(gen_cfg)]) == 0
-    xyz = tmp_path / "ds" / "clouds" / "cube_0000.xyz"
-    xyz.write_text("".join(xyz.read_text().splitlines(keepends=True)[:10]))
+    xyz = tmp_path / "ds" / "clouds" / f"{source_id}.xyz"
+    xyz.write_text("".join(edit(xyz.read_text().splitlines(keepends=True))))
     return tmp_path / "ds" / "manifest.csv"
+
+
+def manifest_with_short_cloud(tmp_path):
+    """A generated dataset whose first cube cloud is cut to 10 points."""
+    return manifest_with_edited_cloud(tmp_path, "cube_0000", lambda lines: lines[:10])
 
 
 def exit_code(argv):
@@ -255,6 +261,13 @@ class TestTrain:
         assert "cube_0000" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_nonfinite_manifest_cloud_exits_2_before_training(self, tmp_path, capsys):
+        manifest = manifest_with_edited_cloud(tmp_path, "cube_0000", lambda lines: ["nan 0 0\n"] + lines[1:])
+        cfg = write_config(tmp_path, name="cfg2.json", dataset={"kind": "manifest", "path": str(manifest)})
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        assert "cube_0000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -296,7 +309,9 @@ class TestEvaluate:
     def test_empty_test_split_exits_2(self, trained, tmp_path):
         cfg, ckpt, _ = trained
         cfg2 = write_config(tmp_path, dataset={"train_fraction": 1.0})
-        assert cli.main(["evaluate", "--config", str(cfg2), "--checkpoint", str(ckpt)]) == 2
+        for command in ("evaluate", "robustness"):
+            assert cli.main([command, "--config", str(cfg2), "--checkpoint", str(ckpt)]) == 2
+            assert not (tmp_path / "out").exists()
 
     def test_checkpoint_config_mismatch_exits_2(self, trained, tmp_path):
         cfg, ckpt, _ = trained
@@ -322,6 +337,14 @@ class TestEvaluate:
         assert "cube_0000" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_nonfinite_test_cloud_exits_2_before_writing(self, trained, tmp_path, capsys):
+        _, ckpt, _ = trained
+        manifest = manifest_with_edited_cloud(tmp_path, "cube_0004", lambda lines: lines[:-1] + ["0 inf 0\n"])
+        cfg = write_config(tmp_path, name="cfg2.json", dataset={"kind": "manifest", "path": str(manifest)})
+        assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 2
+        assert "cube_0004" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_requires_checkpoint(self, trained):
         cfg, _, _ = trained
         assert cli.main(["evaluate", "--config", str(cfg)]) == 2
@@ -333,6 +356,26 @@ class TestEvaluate:
         cfg = write_config(tmp_path)
         assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(bad)]) == 2
         assert "trailing" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda header: header.pop("params"), lambda header: header["params"][0].update(shape=5)],
+        ids=["without_params", "scalar_shape"],
+    )
+    def test_malformed_checkpoint_header_exits_2(self, trained, tmp_path, capsys, edit):
+        _, ckpt, _ = trained
+        blob = ckpt.read_bytes()
+        start = len(nnet.CHECKPOINT_MAGIC) + 8
+        end = start + int.from_bytes(blob[start - 8 : start], "little")
+        header = json.loads(blob[start:end])
+        edit(header)
+        text = json.dumps(header).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[: start - 8] + len(text).to_bytes(8, "little") + text + blob[end:])
+        cfg = write_config(tmp_path)
+        assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -432,6 +475,13 @@ class TestRobustness:
             ["robustness", "--config", str(cfg), "--checkpoint", str(ckpt), "--sigmas", "-0.1"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--outliers", "2.7"), ("--sigmas", "nan"), ("--sigmas", "inf")])
+    def test_bad_grid_value_exits_2_and_writes_nothing(self, trained, tmp_path, flag, value):
+        _, ckpt, _ = trained
+        cfg = write_config(tmp_path)
+        assert cli.main(["robustness", "--config", str(cfg), "--checkpoint", str(ckpt), flag, value]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestExportGraphs:

@@ -84,10 +84,12 @@ class TestFarthestPointSampling:
         with pytest.raises(ValueError):
             geom.farthest_point_sampling(cloud, 0)
 
-    @given(st.integers(0, 500), st.integers(1, 12))
+    @given(st.integers(0, 500), st.integers(1, 16))
     @settings(max_examples=40, deadline=None)
     def test_matches_reference_greedy(self, seed, m):
-        pts = np.random.default_rng(seed).normal(size=(12, 3))
+        # Dyadic coordinates keep the centroid and every distance exact in
+        # both computations, so no rounding near-tie can flip a pick.
+        pts = np.random.default_rng(seed).integers(-(2**20), 2**20 + 1, size=(16, 3)) / 2.0**20
         sel, _, _ = geom.farthest_point_sampling(pts, m)
         assert sel.tolist() == brute_force_fps(pts, m)
 

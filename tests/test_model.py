@@ -65,29 +65,29 @@ class TestConfig:
 
 class TestDrawInterval:
     def test_midpoint_when_deterministic(self):
-        np.testing.assert_array_equal(model.draw_interval((24, 40), 3, None, False), [32] * 3)
-        np.testing.assert_array_equal(model.draw_interval((1, 4), 2, None, False), [2, 2])
+        np.testing.assert_array_equal(model.draw_interval((24, 40), 3, None), [32] * 3)
+        np.testing.assert_array_equal(model.draw_interval((1, 4), 2, None), [2, 2])
 
     def test_degenerate_interval(self):
         rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(model.draw_interval((7, 7), 5, rng, True), [7] * 5)
+        np.testing.assert_array_equal(model.draw_interval((7, 7), 5, rng), [7] * 5)
 
     def test_seeded_determinism(self):
-        a = model.draw_interval((16, 48), 10, np.random.default_rng(5), True)
-        b = model.draw_interval((16, 48), 10, np.random.default_rng(5), True)
+        a = model.draw_interval((16, 48), 10, np.random.default_rng(5))
+        b = model.draw_interval((16, 48), 10, np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
 
     @given(st.integers(0, 200))
     @settings(max_examples=30, deadline=None)
     def test_samples_stay_in_interval(self, seed):
-        out = model.draw_interval((3, 9), 50, np.random.default_rng(seed), True)
+        out = model.draw_interval((3, 9), 50, np.random.default_rng(seed))
         assert out.shape == (50,)
         assert out.min() >= 3 and out.max() <= 9
 
 
 class TestExtractDescriptors:
     def test_shapes_and_axis_invariants(self, cloud, tiny_model):
-        desc = model.extract_descriptors(tiny_model, cloud, None, False)
+        desc = model.extract_descriptors(tiny_model, cloud)
         m0 = tiny_model.config.resolved_level_sizes()[0]
         assert desc.points.shape == (m0, 3)
         assert desc.axes.shape == (m0, 3, 3)
@@ -96,8 +96,8 @@ class TestExtractDescriptors:
         np.testing.assert_allclose(dets, np.ones(m0), atol=1e-9)
 
     def test_identity_rotation_bitwise_equal(self, cloud, tiny_model):
-        a = model.extract_descriptors(tiny_model, cloud, None, False)
-        b = model.extract_descriptors(tiny_model, geom.rotate(cloud, np.eye(3)), None, False)
+        a = model.extract_descriptors(tiny_model, cloud)
+        b = model.extract_descriptors(tiny_model, geom.rotate(cloud, np.eye(3)))
         np.testing.assert_array_equal(a.features.value, b.features.value)
 
     @given(st.integers(0, 200))
@@ -106,8 +106,8 @@ class TestExtractDescriptors:
         net = tiny_net()
         pts = random_cloud(seed, 64)
         rot = geom.random_rotation(np.random.default_rng(seed + 1), "so3")
-        a = model.extract_descriptors(net, pts, None, False).features.value
-        b = model.extract_descriptors(net, geom.rotate(pts, rot), None, False).features.value
+        a = model.extract_descriptors(net, pts).features.value
+        b = model.extract_descriptors(net, geom.rotate(pts, rot)).features.value
         assert np.abs(a - b).max() <= 1e-5 * (1 + np.abs(a).max())
 
     def test_duplicating_unused_point_changes_nothing(self):
@@ -123,13 +123,13 @@ class TestExtractDescriptors:
         free = [i for i in range(len(pts)) if i not in used]
         assert free, "fixture cloud leaves no unused point; pick another seed"
         bigger = np.vstack([pts, pts[free[0]]])
-        a = model.extract_descriptors(net, pts, None, False)
-        b = model.extract_descriptors(net, bigger, None, False)
+        a = model.extract_descriptors(net, pts)
+        b = model.extract_descriptors(net, bigger)
         np.testing.assert_array_equal(a.features.value, b.features.value)
 
     def test_cloud_smaller_than_level0_rejected(self, tiny_model):
         with pytest.raises(model.ConfigError):
-            model.extract_descriptors(tiny_model, random_cloud(0, 16), None, False)
+            model.extract_descriptors(tiny_model, random_cloud(0, 16))
 
     def test_patch_gather_matches_single_anchor_op(self):
         pts = random_cloud(11, 40)
@@ -221,15 +221,15 @@ class TestQuantizedScan:
 
 class TestExtendDescriptors:
     def test_axes_are_reused_bitwise(self, cloud, tiny_model):
-        d0 = model.extract_descriptors(tiny_model, cloud, None, False)
-        d1 = model.extend_descriptors(tiny_model, d0, 1, None, False)
+        d0 = model.extract_descriptors(tiny_model, cloud)
+        d1 = model.extend_descriptors(tiny_model, d0)
         sel, _, _ = geom.farthest_point_sampling(d0.points, len(d1.points))
         np.testing.assert_array_equal(d1.axes, d0.axes[sel])
         np.testing.assert_array_equal(d1.points, d0.points[sel])
 
     def test_points_nest_across_levels(self, cloud, tiny_model):
-        d0 = model.extract_descriptors(tiny_model, cloud, None, False)
-        d1 = model.extend_descriptors(tiny_model, d0, 1, None, False)
+        d0 = model.extract_descriptors(tiny_model, cloud)
+        d1 = model.extend_descriptors(tiny_model, d0)
         level0 = {tuple(p) for p in d0.points}
         assert all(tuple(p) in level0 for p in d1.points)
 
@@ -239,27 +239,21 @@ class TestExtendDescriptors:
         net = tiny_net()
         pts = random_cloud(seed, 64)
         rot = geom.random_rotation(np.random.default_rng(seed + 2), "so3")
-        a = model.extend_descriptors(
-            net, model.extract_descriptors(net, pts, None, False), 1, None, False
-        ).features.value
-        b = model.extend_descriptors(
-            net, model.extract_descriptors(net, geom.rotate(pts, rot), None, False), 1, None, False
-        ).features.value
+        a = model.extend_descriptors(net, model.extract_descriptors(net, pts)).features.value
+        b = model.extend_descriptors(net, model.extract_descriptors(net, geom.rotate(pts, rot))).features.value
         assert np.abs(a - b).max() <= 1e-5 * (1 + np.abs(a).max())
 
     def test_size_monotonicity_enforced(self, cloud):
         net = tiny_net(level_sizes=(24, 8))
-        d0 = model.extract_descriptors(net, cloud, None, False)
+        d0 = model.extract_descriptors(net, cloud)
         with pytest.raises(model.ConfigError):
-            model.extend_descriptors(
-                model.RiGcnModel(tiny_config(level_sizes=(24, 25), levels=2)), d0, 1, None, False
-            )
+            model.extend_descriptors(model.RiGcnModel(tiny_config(level_sizes=(24, 25), levels=2)), d0)
 
 
 class TestAbstractLevel:
     def test_permutation_of_rows_keeps_summary(self, cloud, tiny_model):
-        desc = model.extract_descriptors(tiny_model, cloud, None, False)
-        out = model.abstract_level(tiny_model, desc, None, False)
+        desc = model.extract_descriptors(tiny_model, cloud)
+        out = model.abstract_level(tiny_model, desc)
         perm = np.random.default_rng(0).permutation(len(desc.points))
         permuted = model.DescriptorSet(
             level=desc.level,
@@ -268,15 +262,15 @@ class TestAbstractLevel:
             features=nnet.constant(desc.features.value[perm]),
             block=desc.block[np.ix_(perm, perm)],
         )
-        out_p = model.abstract_level(tiny_model, permuted, None, False)
+        out_p = model.abstract_level(tiny_model, permuted)
         np.testing.assert_allclose(out.value, out_p.value, atol=1e-12)
 
     def test_mlp_ablation_with_identity_weight(self, cloud):
         net = tiny_net(abstraction="mlp")
         c0 = net.config.resolved_channels()[0]
         net.gcn_w[0].value[...] = np.eye(c0)
-        desc = model.extract_descriptors(net, cloud, None, False)
-        out = model.abstract_level(net, desc, None, False)
+        desc = model.extract_descriptors(net, cloud)
+        out = model.abstract_level(net, desc)
         expected = np.maximum(desc.features.value, 0.0).max(axis=0, keepdims=True)
         np.testing.assert_array_equal(out.value, expected)
 
@@ -301,8 +295,8 @@ class TestAbstractLevel:
             features=nnet.constant(np.hstack([feats, np.zeros((2, 1))])),
             block=geom.squared_distances(pts),
         )
-        out_gcn = model.abstract_level(gcn_net, desc, None, False).value[0, 0]
-        out_mlp = model.abstract_level(mlp_net, desc, None, False).value[0, 0]
+        out_gcn = model.abstract_level(gcn_net, desc).value[0, 0]
+        out_mlp = model.abstract_level(mlp_net, desc).value[0, 0]
         assert out_gcn == pytest.approx(2.0 / (1 + w), abs=1e-12)
         assert out_gcn == pytest.approx(expected_gcn, abs=1e-15)
         assert out_mlp == 2.0
@@ -317,7 +311,7 @@ class TestAbstractLevel:
             block=np.zeros((1, 1)),
         )
         with pytest.raises(graph.DegenerateGraphError):
-            model.abstract_level(tiny_model, desc, None, False)
+            model.abstract_level(tiny_model, desc)
 
 
 class TestLevelGraph:
@@ -334,18 +328,18 @@ class TestLevelGraph:
     def test_stochastic_khat_is_drawn_from_the_generator(self):
         cfg, desc = self.level(0, khat_range=(2, 8))
         for seed in range(10):
-            got = model.level_graph(cfg, desc, np.random.default_rng(seed), True)
+            got = model.level_graph(cfg, desc, np.random.default_rng(seed))
             khat = int(np.random.default_rng(seed).integers(2, 9))
             np.testing.assert_array_equal(got, self.build(desc, khat))
 
     def test_midpoint_when_deterministic(self):
         cfg, desc = self.level(0, khat_range=(2, 8))
-        np.testing.assert_array_equal(model.level_graph(cfg, desc, None, False), self.build(desc, 5))
+        np.testing.assert_array_equal(model.level_graph(cfg, desc), self.build(desc, 5))
 
     def test_midpoint_when_khat_toggle_is_off(self):
         cfg, desc = self.level(0, khat_range=(2, 8), stochastic_khat=False)
         rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(model.level_graph(cfg, desc, rng, True), self.build(desc, 5))
+        np.testing.assert_array_equal(model.level_graph(cfg, desc, rng), self.build(desc, 5))
         assert rng.integers(1 << 30) == np.random.default_rng(0).integers(1 << 30)
 
     def test_small_top_level_clamps_the_interval(self):
@@ -353,10 +347,10 @@ class TestLevelGraph:
         cfg, desc = self.level(1, khat_range=(4, 8))
         assert len(desc.points) == 8
         for seed in range(20):
-            got = model.level_graph(cfg, desc, np.random.default_rng(seed), True)
+            got = model.level_graph(cfg, desc, np.random.default_rng(seed))
             khat = int(np.random.default_rng(seed).integers(4, 8))
             np.testing.assert_array_equal(got, self.build(desc, khat))
-        np.testing.assert_array_equal(model.level_graph(cfg, desc, None, False), self.build(desc, 5))
+        np.testing.assert_array_equal(model.level_graph(cfg, desc), self.build(desc, 5))
 
 
 class TestForward:
@@ -412,13 +406,13 @@ class TestForward:
             assert np.isfinite(model.logits(net, cloud)).all()
 
     def test_stochastic_forward_is_seeded(self, cloud, tiny_model):
-        a = model.forward(tiny_model, cloud, np.random.default_rng(3), True).value
-        b = model.forward(tiny_model, cloud, np.random.default_rng(3), True).value
+        a = model.forward(tiny_model, cloud, np.random.default_rng(3)).value
+        b = model.forward(tiny_model, cloud, np.random.default_rng(3)).value
         np.testing.assert_array_equal(a, b)
 
     def test_full_model_gradient_check(self, cloud, tiny_model):
         def loss_fn():
-            return nnet.cross_entropy(model.forward(tiny_model, cloud, None, False), 1)
+            return nnet.cross_entropy(model.forward(tiny_model, cloud), 1)
 
         err = nnet.gradient_check(loss_fn, tiny_model.parameters(), eps=1e-6)
         assert err <= 1e-5
