@@ -168,7 +168,7 @@ class RiGcnModel:
         self.h: list[list[nnet.Parameter] | None] = []
         self.f: list[list[nnet.Parameter]] = []
         self.gcn_w: list[nnet.Parameter] = []
-        self._params: list[nnet.Parameter] = []
+        params: list[nnet.Parameter] = []
         for l, c in enumerate(channels):
             branch = c // 2
             self.g1.append(nnet.init_mlp(nnet.MlpSpec((3, config.g_hidden, branch)), rng, f"l{l}.g1"))
@@ -181,12 +181,12 @@ class RiGcnModel:
                 )
             self.f.append(nnet.init_mlp(nnet.MlpSpec((c, c, c)), rng, f"l{l}.f"))
             self.gcn_w.append(nnet.init_parameter(f"l{l}.gcn", (c, c), rng))
-            self._params += [*self.g1[l], *(self.g2 if l == 0 else self.h[l]), *self.f[l], self.gcn_w[l]]
+            params += [*self.g1[l], *(self.g2 if l == 0 else self.h[l]), *self.f[l], self.gcn_w[l]]
         clf_spec = nnet.MlpSpec((sum(channels), config.classifier_hidden, config.num_classes))
         self.clf = nnet.init_mlp(clf_spec, rng, "clf")
-        self._params.extend(self.clf)
+        self._params = nnet.ParameterSet(params + self.clf)
 
-    def parameters(self) -> list[nnet.Parameter]:
+    def parameters(self) -> nnet.ParameterSet:
         """Every parameter in creation order, the order of checkpoints."""
         return self._params
 

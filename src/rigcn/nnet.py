@@ -2,16 +2,18 @@
 
 A forward pass builds a small DAG of ``Node`` objects; ``backward`` walks it
 in reverse topological order and accumulates gradients into ``Parameter``
-buffers. The layer set is fixed: linear, ReLU, row/segment max pooling,
-column concatenation, row gathering, multiplication by a constant matrix,
-and softmax cross-entropy.
+buffers. The layer set is fixed: dense (affine, optionally followed by ReLU,
+as one node), linear, ReLU, row/segment max pooling, column concatenation,
+row gathering, multiplication by a constant matrix, and softmax
+cross-entropy. A ``ParameterSet`` keeps a model's values and gradients in two
+flat buffers, which Adam updates in a few whole-buffer passes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,33 @@ class Parameter:
 
     def zero_grad(self):
         self.grad[...] = 0.0
+
+
+class ParameterSet(list):
+    """Parameters whose values and gradients live in two flat float64
+    buffers, ``values`` and ``grads``, in list order.
+
+    Packing copies each parameter's value and gradient into the buffers and
+    rebinds ``Parameter.value`` and ``.grad`` to views of them, so the
+    optimizer updates every parameter in whole-buffer passes. Write into a
+    parameter in place (``p.value[...] = ...``): rebinding ``p.value``
+    detaches it from the buffers, and the optimizer no longer sees it. The
+    list is not meant to grow or shrink after packing.
+    """
+
+    def __init__(self, params):
+        super().__init__(params)
+        total = sum(p.value.size for p in self)
+        self.values = np.empty(total)
+        self.grads = np.empty(total)
+        start = 0
+        for p in self:
+            stop = start + p.value.size
+            for attr, buf in (("value", self.values), ("grad", self.grads)):
+                view = buf[start:stop].reshape(p.value.shape)
+                view[...] = getattr(p, attr)
+                setattr(p, attr, view)
+            start = stop
 
 
 def init_parameter(name: str, shape: tuple[int, int], rng: np.random.Generator) -> Parameter:
@@ -90,8 +119,11 @@ def backward(root: Node) -> None:
         for target, vjp in node.parents:
             contrib = vjp(g)
             if target.grad is None:
-                target.grad = np.zeros_like(target.value)
-            target.grad += contrib
+                # Bitwise zeros + contrib, which turns -0.0 into 0.0, and
+                # never aliases contrib, which a later += would overwrite.
+                target.grad = contrib + 0.0
+            else:
+                target.grad += contrib
 
 
 def constant(value) -> Node:
@@ -106,13 +138,41 @@ def linear(param: Parameter, x: Node) -> Node:
     return Node(xv @ w, parents=((param, lambda g: xv.T @ g), (x, lambda g: g @ w.T)))
 
 
-def add_bias(x: Node, param: Parameter) -> Node:
-    """Y = X + b with a (1, c) bias row broadcast over rows."""
-    if param.value.shape != (1, x.value.shape[1]):
-        raise ShapeError(f"bias shape {param.value.shape} does not match input {x.value.shape}")
+def dense(w: Parameter, b: Parameter, x: Node, activate: bool) -> Node:
+    """Y = X @ W + b with a (1, c) bias row, then ReLU when ``activate``, as
+    one node over one array.
+
+    Bitwise the same as ``relu`` over the bias add over ``linear``: the ReLU
+    subgradient at exactly 0 is 0, and NaN pre-activations become 0.0.
+    """
+    xv, wv = x.value, w.value
+    if xv.shape[1] != wv.shape[0]:
+        raise ShapeError(f"dense: input shape {xv.shape} does not match weight shape {wv.shape}")
+    if b.value.shape != (1, wv.shape[1]):
+        raise ShapeError(f"bias shape {b.value.shape} does not match output width {wv.shape[1]}")
+    y = xv @ wv
+    y += b.value
+    if activate:
+        mask = y > 0
+        np.copyto(y, 0.0, where=~mask)
+        # The three vjps run on the same upstream gradient; mask it once.
+        seen = [None, None]
+
+        def upstream(g):
+            if seen[0] is not g:
+                seen[0], seen[1] = g, g * mask
+            return seen[1]
+    else:
+        def upstream(g):
+            return g
+
     return Node(
-        x.value + param.value,
-        parents=((param, lambda g: g.sum(axis=0, keepdims=True)), (x, lambda g: g)),
+        y,
+        parents=(
+            (w, lambda g: xv.T @ upstream(g)),
+            (b, lambda g: upstream(g).sum(axis=0, keepdims=True)),
+            (x, lambda g: upstream(g) @ wv.T),
+        ),
     )
 
 
@@ -251,41 +311,61 @@ def init_mlp(spec: MlpSpec, rng: np.random.Generator, prefix: str) -> list[Param
 def mlp(params: list[Parameter], x: Node) -> Node:
     """Affine layers with ReLU between them; the final layer stays linear."""
     pairs = list(zip(params[0::2], params[1::2]))
-    for w, b in pairs[:-1]:
-        x = relu(add_bias(linear(w, x), b))
-    w, b = pairs[-1]
-    return add_bias(linear(w, x), b)
+    for i, (w, b) in enumerate(pairs):
+        x = dense(w, b, x, activate=i < len(pairs) - 1)
+    return x
 
 
 @dataclass
 class OptimizerState:
-    """Adaptive-moment (Adam) update state."""
+    """Adaptive-moment (Adam) update state; ``m`` and ``v`` are the flat
+    first and second moments, allocated at the first step."""
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    slots: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def optimizer_step(state: OptimizerState, params: list[Parameter]) -> None:
-    """Apply one update from the accumulated gradients, then zero them."""
-    for p in params:
-        if not np.all(np.isfinite(p.grad)):
-            raise TrainingDivergenceError(f"non-finite gradient in parameter {p.name!r}")
+def optimizer_step(state: OptimizerState, params: ParameterSet) -> None:
+    """Apply one Adam update from the accumulated gradients, then zero them.
+
+    Each line of the update runs once over the flat buffers, in the same
+    operation order as the textbook per-parameter form, so the result is
+    bitwise the same.
+    """
+    g = params.grads
+    if state.m is None:
+        state.m, state.v = np.zeros_like(g), np.zeros_like(g)
+    elif state.m.size != g.size:
+        raise ValueError(
+            f"optimizer state holds moments for {state.m.size} values, "
+            f"but the parameters have {g.size}"
+        )
+    if not np.isfinite(g).all():
+        bad = next(p for p in params if not np.isfinite(p.grad).all())
+        raise TrainingDivergenceError(f"non-finite gradient in parameter {bad.name!r}")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    for p in params:
-        m, v = state.slots.get(p.name, (np.zeros_like(p.value), np.zeros_like(p.value)))
-        m = b1 * m + (1 - b1) * p.grad
-        v = b2 * v + (1 - b2) * p.grad**2
-        state.slots[p.name] = (m, v)
-        m_hat = m / (1 - b1**state.step)
-        v_hat = v / (1 - b2**state.step)
-        p.value -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    for p in params:
-        p.zero_grad()
+    b1, b2, m, v = state.beta1, state.beta2, state.m, state.v
+    tmp = g * g
+    tmp *= 1 - b2
+    v *= b2
+    v += tmp  # v = b2 * v + (1 - b2) * g**2
+    np.multiply(g, 1 - b1, out=tmp)
+    m *= b1
+    m += tmp  # m = b1 * m + (1 - b1) * g
+    # g is spent: it holds sqrt(v_hat) + eps while tmp holds lr * m_hat.
+    np.divide(m, 1 - b1**state.step, out=tmp)
+    tmp *= state.learning_rate
+    np.divide(v, 1 - b2**state.step, out=g)
+    np.sqrt(g, out=g)
+    g += state.eps
+    tmp /= g
+    params.values -= tmp
+    g.fill(0.0)
 
 
 def gradient_check_blocks(loss_fn, params: list[Parameter], eps: float = 1e-6) -> dict[str, float]:

@@ -570,16 +570,18 @@ class TestGradcheck:
         for name in names:
             assert sum(1 for line in lines if line.startswith(name + " ")) == 1
 
-    def test_corrupted_backward_fails_with_exit_1(self, monkeypatch):
-        original = nnet.linear
+    # linear carries the GCN weights, dense every MLP weight.
+    @pytest.mark.parametrize("layer", ["linear", "dense"])
+    def test_corrupted_backward_fails_with_exit_1(self, monkeypatch, layer):
+        original = getattr(nnet, layer)
 
-        def corrupted(param, x):
-            node = original(param, x)
+        def corrupted(*args, **kwargs):
+            node = original(*args, **kwargs)
             (p, vjp_w), rest = node.parents[0], node.parents[1:]
             node.parents = ((p, lambda g: 2.0 * vjp_w(g)),) + rest
             return node
 
-        monkeypatch.setattr(nnet, "linear", corrupted)
+        monkeypatch.setattr(nnet, layer, corrupted)
         assert cli.main(["gradcheck"]) == 1
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import asdict
 
@@ -456,6 +457,22 @@ class TestTrainEvaluate:
         for a, b in zip(p_a, p_b):
             np.testing.assert_array_equal(a, b)
 
+    def test_trajectory_is_pinned(self, tmp_path):
+        # The checkpoint digest after two seeded epochs: a change that moves
+        # any bit of the training arithmetic shows up here. The bits depend
+        # on the numpy and BLAS build.
+        clouds, labels = self._toy_data()
+        net = tiny_net(num_classes=2)
+        state = nnet.OptimizerState()
+        rng = np.random.default_rng(4)
+        for _ in range(2):
+            model.train_epoch(net, clouds, labels, "z", state, rng)
+        path = tmp_path / "m.ckpt"
+        model.save_model(net, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "c086f422af85bea4471f2dbd705e008fbbd012fca9add781af53c493250cb22f"
+        )
+
     def test_toy_set_is_learnable(self):
         clouds, labels = self._toy_data(24)
         net = tiny_net(num_classes=2)
@@ -537,6 +554,16 @@ class TestCheckpointRoundTrip:
         assert raw[15 : 15 + size].decode() == CHECKPOINT_HEADER
         n_values = sum(p.value.size for p in net.parameters())
         assert len(raw) == 15 + size + 8 * n_values == 4675
+
+    def test_parameters_stay_views_of_the_flat_buffers(self, tmp_path, tiny_model):
+        path = tmp_path / "m.ckpt"
+        model.save_model(tiny_model, path)
+        for net in (tiny_model, model.load_model(path)):
+            params = net.parameters()
+            assert params.values.size == sum(p.value.size for p in params)
+            for p in params:
+                assert np.shares_memory(p.value, params.values)
+                assert np.shares_memory(p.grad, params.grads)
 
     def test_save_load_bitwise(self, tmp_path, tiny_model):
         path = tmp_path / "m.ckpt"

@@ -11,6 +11,38 @@ def make_param(name, value):
     return nnet.Parameter(name, value, np.zeros_like(value))
 
 
+def add_bias_reference(x, param):
+    """A (1, c) bias row added as its own node."""
+    return nnet.Node(
+        x.value + param.value,
+        parents=((param, lambda g: g.sum(axis=0, keepdims=True)), (x, lambda g: g)),
+    )
+
+
+def dense_reference(w, b, x, activate):
+    """The oracle for ``nnet.dense``: linear, bias and ReLU as three nodes."""
+    y = add_bias_reference(nnet.linear(w, x), b)
+    return nnet.relu(y) if activate else y
+
+
+def adam_reference(state, params):
+    """The oracle for ``nnet.optimizer_step``: Adam one parameter at a time
+    with default hyperparameters; ``state`` is a dict holding the step count
+    and per-name moments."""
+    state["step"] += 1
+    b1, b2, lr, eps = 0.9, 0.999, 1e-3, 1e-8
+    for p in params:
+        m, v = state.get(p.name, (np.zeros_like(p.value), np.zeros_like(p.value)))
+        m = b1 * m + (1 - b1) * p.grad
+        v = b2 * v + (1 - b2) * p.grad**2
+        state[p.name] = (m, v)
+        m_hat = m / (1 - b1 ** state["step"])
+        v_hat = v / (1 - b2 ** state["step"])
+        p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    for p in params:
+        p.zero_grad()
+
+
 class TestLinear:
     def test_identity_weight(self):
         w = make_param("w", np.eye(3))
@@ -33,6 +65,47 @@ class TestLinear:
         w = make_param("w", np.zeros((3, 2)))
         with pytest.raises(nnet.ShapeError, match=r"\(1, 2\).*\(3, 2\)"):
             nnet.linear(w, nnet.constant(np.zeros((1, 2))))
+
+
+class TestDense:
+    def _inputs(self):
+        """Inputs with -0.0 entries whose pre-activations hold exact zeros
+        and NaN, and an upstream gradient with zeros of both signs."""
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(6, 3))
+        x[0] = [-0.0, 0.0, -0.0]
+        x[1, 2] = np.nan
+        w = rng.normal(size=(3, 4))
+        b = rng.normal(size=(1, 4))
+        b[0, 0] = -0.0
+        # Row 2, column 1 cancels exactly: X @ W + b is 0.0 there.
+        b[0, 1] = -(x @ w)[2, 1]
+        upstream = rng.normal(size=(6, 4))
+        upstream[3] = [0.0, -0.0, 0.0, -0.0]
+        return x, w, b, upstream
+
+    @pytest.mark.parametrize("activate", [True, False])
+    def test_matches_the_three_node_chain_bitwise(self, activate):
+        x, w, b, upstream = self._inputs()
+        pre = x @ w + b
+        assert pre[0, 0] == pre[2, 1] == 0.0 and np.isnan(pre[1]).all() and (pre > 0).any()
+        runs = []
+        for layer in (nnet.dense, dense_reference):
+            wp, bp, xn = make_param("w", w), make_param("b", b), nnet.constant(x)
+            y = layer(wp, bp, xn, activate)
+            root = nnet.Node(np.float64(0.0), parents=((y, lambda g: g * upstream),))
+            nnet.backward(root)
+            runs.append((y.value, wp.grad, bp.grad, xn.grad))
+        for fused, chained in zip(*runs):
+            np.testing.assert_array_equal(fused, chained)
+            np.testing.assert_array_equal(np.signbit(fused), np.signbit(chained))
+
+    def test_shape_mismatches_are_rejected(self):
+        x = nnet.constant(np.zeros((2, 3)))
+        with pytest.raises(nnet.ShapeError, match=r"\(2, 3\).*\(2, 4\)"):
+            nnet.dense(make_param("w", np.zeros((2, 4))), make_param("b", np.zeros((1, 4))), x, True)
+        with pytest.raises(nnet.ShapeError, match="bias"):
+            nnet.dense(make_param("w", np.zeros((3, 4))), make_param("b", np.zeros((1, 3))), x, True)
 
 
 class TestRelu:
@@ -178,7 +251,7 @@ class TestOptimizer:
     def test_zero_gradient_leaves_adam_parameters_unchanged(self):
         p = make_param("p", [[1.0, 2.0]])
         state = nnet.OptimizerState()
-        nnet.optimizer_step(state, [p])
+        nnet.optimizer_step(state, nnet.ParameterSet([p]))
         np.testing.assert_array_equal(p.value, [[1.0, 2.0]])
 
     def test_first_adam_step_by_hand(self):
@@ -188,24 +261,25 @@ class TestOptimizer:
         p = make_param("p", np.zeros_like(g))
         p.grad[...] = g
         state = nnet.OptimizerState(learning_rate=0.1)
-        nnet.optimizer_step(state, [p])
+        nnet.optimizer_step(state, nnet.ParameterSet([p]))
         np.testing.assert_allclose(-p.value, 0.1 * g / (np.abs(g) + state.eps), rtol=1e-12, atol=0)
 
     def test_gradients_zeroed_after_step(self):
         p = make_param("p", [[0.0]])
         p.grad[...] = 3.0
-        nnet.optimizer_step(nnet.OptimizerState(), [p])
+        nnet.optimizer_step(nnet.OptimizerState(), nnet.ParameterSet([p]))
         np.testing.assert_array_equal(p.grad, [[0.0]])
 
     def test_three_steps_bitwise_reproducible(self):
         def run():
             rng = np.random.default_rng(4)
             p = nnet.init_parameter("p", (3, 2), rng)
+            params = nnet.ParameterSet([p])
             state = nnet.OptimizerState()
             for _ in range(3):
                 x = nnet.constant(rng.normal(size=(2, 3)))
                 nnet.backward(nnet.maxpool_rows(nnet.relu(nnet.linear(p, x))))
-                nnet.optimizer_step(state, [p])
+                nnet.optimizer_step(state, params)
             return p.value
 
         np.testing.assert_array_equal(run(), run())
@@ -214,7 +288,38 @@ class TestOptimizer:
         p = make_param("clf.w0", [[0.0]])
         p.grad[...] = np.nan
         with pytest.raises(nnet.TrainingDivergenceError, match="clf.w0"):
-            nnet.optimizer_step(nnet.OptimizerState(), [p])
+            nnet.optimizer_step(nnet.OptimizerState(), nnet.ParameterSet([p]))
+
+    def test_flat_update_matches_the_per_parameter_loop_bitwise(self):
+        rng = np.random.default_rng(14)
+        shapes = [(3, 2), (1, 2), (4, 4), (1, 1)]
+        # Small values keep the last bits of each update visible.
+        values = [rng.normal(size=s) * 1e-6 for s in shapes]
+        values[1][...] = 0.0
+        flat = nnet.ParameterSet([make_param(f"p{i}", v) for i, v in enumerate(values)])
+        loop = [make_param(f"p{i}", v) for i, v in enumerate(values)]
+        state, loop_state = nnet.OptimizerState(), {"step": 0}
+        for step in range(3):
+            for a, b in zip(flat, loop):
+                g = rng.normal(size=a.value.shape) * 10.0 ** rng.integers(-6, 3)
+                g[rng.random(g.shape) < 0.3] = 0.0
+                a.grad[...] = b.grad[...] = g
+            # A parameter with no gradient at all on one step.
+            flat[step].grad[...] = loop[step].grad[...] = 0.0
+            nnet.optimizer_step(state, flat)
+            adam_reference(loop_state, loop)
+            for a, b in zip(flat, loop):
+                np.testing.assert_array_equal(a.value, b.value)
+                np.testing.assert_array_equal(a.grad, b.grad)
+
+    def test_state_of_another_size_is_rejected(self):
+        state = nnet.OptimizerState()
+        nnet.optimizer_step(state, nnet.ParameterSet([make_param("p", np.zeros((2, 3)))]))
+        other = nnet.ParameterSet([make_param("q", np.ones((1, 4)))])
+        with pytest.raises(ValueError, match=r"\b6\b.*\b4\b"):
+            nnet.optimizer_step(state, other)
+        np.testing.assert_array_equal(other.values, np.ones(4))
+        assert state.step == 1
 
 
 class TestGradientCheck:
