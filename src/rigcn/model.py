@@ -415,8 +415,10 @@ def forward(
 
 
 def logits(model: RiGcnModel, points: np.ndarray) -> np.ndarray:
-    """Deterministic logits as a flat vector."""
-    return forward(model, points).value.ravel()
+    """Deterministic logits as a flat vector, from a forward that builds no
+    graph (``nnet.no_grad``)."""
+    with nnet.no_grad():
+        return forward(model, points).value.ravel()
 
 
 @dataclass(frozen=True)

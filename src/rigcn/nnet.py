@@ -7,12 +7,23 @@ as one node), linear, ReLU, row/segment max pooling, column concatenation,
 row gathering, multiplication by a constant matrix, and softmax
 cross-entropy. A ``ParameterSet`` keeps a model's values and gradients in two
 flat buffers, which Adam updates in a few whole-buffer passes.
+
+Inside a ``no_grad()`` block the same layer functions run without a graph:
+every ``Node`` keeps no parents, so each intermediate array is freed as soon
+as the next layer has consumed it, and the result cannot be differentiated.
+
+ReLU has one rule, used by ``dense`` and ``relu``: ``max(0, x)`` with +0.0 for
+every input that is not positive (-0.0, NaN and negatives included), and a
+subgradient of 0 at exactly 0. Its backward masks the upstream gradient with
+``output > 0``, which holds exactly where the input was positive, so no
+caller may change a node's value in place.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,6 +87,24 @@ def init_parameter(name: str, shape: tuple[int, int], rng: np.random.Generator) 
     return Parameter(name=name, value=value, grad=np.zeros(shape))
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block: new nodes keep no parents.
+
+    Blocks nest, and leaving one (also by an exception) restores the state
+    it was entered with.
+    """
+    global _grad_enabled
+    outer, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = outer
+
+
 class Node:
     """One value in the computation graph of a forward pass."""
 
@@ -85,8 +114,9 @@ class Node:
         self.value = value
         self.grad = None
         # parents: tuple of (Node-or-Parameter, vjp) where vjp maps the
-        # upstream gradient to this parent's gradient contribution.
-        self.parents = parents
+        # upstream gradient to this parent's gradient contribution; empty
+        # under no_grad().
+        self.parents = parents if _grad_enabled else ()
 
 
 def _topo_order(root: Node) -> list[Node]:
@@ -138,12 +168,20 @@ def linear(param: Parameter, x: Node) -> Node:
     return Node(xv @ w, parents=((param, lambda g: xv.T @ g), (x, lambda g: g @ w.T)))
 
 
+def _relu(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The ReLU rule: ``fmax`` sends NaN to 0.0, and adding +0.0 turns the
+    -0.0 it may keep into +0.0 while leaving every other value as it is.
+    Branch-free, unlike a masked copy."""
+    y = np.fmax(v, 0.0, out=out)
+    y += 0.0
+    return y
+
+
 def dense(w: Parameter, b: Parameter, x: Node, activate: bool) -> Node:
     """Y = X @ W + b with a (1, c) bias row, then ReLU when ``activate``, as
     one node over one array.
 
-    Bitwise the same as ``relu`` over the bias add over ``linear``: the ReLU
-    subgradient at exactly 0 is 0, and NaN pre-activations become 0.0.
+    Bitwise the same as ``relu`` over the bias add over ``linear``.
     """
     xv, wv = x.value, w.value
     if xv.shape[1] != wv.shape[0]:
@@ -153,14 +191,13 @@ def dense(w: Parameter, b: Parameter, x: Node, activate: bool) -> Node:
     y = xv @ wv
     y += b.value
     if activate:
-        mask = y > 0
-        np.copyto(y, 0.0, where=~mask)
+        _relu(y, out=y)
         # The three vjps run on the same upstream gradient; mask it once.
         seen = [None, None]
 
         def upstream(g):
             if seen[0] is not g:
-                seen[0], seen[1] = g, g * mask
+                seen[0], seen[1] = g, g * (y > 0)
             return seen[1]
     else:
         def upstream(g):
@@ -177,9 +214,9 @@ def dense(w: Parameter, b: Parameter, x: Node, activate: bool) -> Node:
 
 
 def relu(x: Node) -> Node:
-    """Elementwise max(0, x); the subgradient at exactly 0 is 0."""
-    mask = x.value > 0
-    return Node(np.where(mask, x.value, 0.0), parents=((x, lambda g: g * mask),))
+    """Elementwise max(0, x) by the module's ReLU rule."""
+    y = _relu(x.value)
+    return Node(y, parents=((x, lambda g: g * (y > 0)),))
 
 
 def matmul_const(a: np.ndarray, x: Node) -> Node:

@@ -419,6 +419,50 @@ class TestForward:
         assert err <= 1e-5
 
 
+def dag_size(root):
+    """Nodes reachable from ``root`` through ``parents``."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for target, _ in stack.pop().parents:
+            if isinstance(target, nnet.Node) and id(target) not in seen:
+                seen.add(id(target))
+                stack.append(target)
+    return len(seen)
+
+
+class TestGraphFreeLogits:
+    def _quantized_cloud(self):
+        rng = np.random.default_rng(11)
+        rotated = geom.rotate(random_cloud(11, 64), geom.random_rotation(rng, "so3"))
+        return np.round(rotated * 32) / 32
+
+    def test_matches_the_graph_forward_bitwise(self, cloud, tiny_model):
+        for pts in (cloud, self._quantized_cloud()):
+            out = model.forward(tiny_model, pts)
+            assert dag_size(out) > 1
+            np.testing.assert_array_equal(
+                model.logits(tiny_model, pts).view(np.int64), out.value.ravel().view(np.int64)
+            )
+
+    def test_builds_no_graph(self, cloud, tiny_model, monkeypatch):
+        roots = []
+        forward = model.forward
+
+        def keep_root(*args, **kwargs):
+            roots.append(forward(*args, **kwargs))
+            return roots[-1]
+
+        monkeypatch.setattr(model, "forward", keep_root)
+        model.logits(tiny_model, cloud)
+        assert [dag_size(r) for r in roots] == [1]
+
+    def test_a_rejected_cloud_leaves_graph_mode_on(self, cloud, tiny_model):
+        size = dag_size(model.forward(tiny_model, cloud))
+        with pytest.raises(model.ConfigError):
+            model.logits(tiny_model, random_cloud(0, 16))
+        assert dag_size(model.forward(tiny_model, cloud)) == size
+
+
 class TestTrainEvaluate:
     def _toy_data(self, n_clouds=12, n_points=48):
         rng = np.random.default_rng(2)
@@ -494,6 +538,24 @@ class TestTrainEvaluate:
         base = results["none"].predictions
         for mode in ("z", "so3"):
             np.testing.assert_array_equal(results[mode].predictions, base)
+
+    def test_calls_logits_once_per_cloud_in_input_order(self, tiny_model, monkeypatch):
+        # The benchmark's infer checks wrap model.logits and need exactly
+        # this: one call per cloud, in order, and predictions from its output.
+        clouds, labels = self._toy_data(6)
+        fake = np.random.default_rng(3).normal(size=(6, 4))
+        calls = []
+
+        def recording_logits(net, points):
+            assert net is tiny_model
+            calls.append(points)
+            return fake[len(calls) - 1]
+
+        monkeypatch.setattr(model, "logits", recording_logits)
+        result = model.evaluate(tiny_model, clouds, labels, "none", None)
+        assert len(calls) == len(clouds)
+        assert all(got is want for got, want in zip(calls, clouds))
+        np.testing.assert_array_equal(result.predictions, fake.argmax(axis=1))
 
     def test_untrained_model_near_chance(self):
         rng = np.random.default_rng(9)

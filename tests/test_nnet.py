@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rigcn import nnet
 
@@ -19,10 +20,27 @@ def add_bias_reference(x, param):
     )
 
 
+def relu_reference(x):
+    """The oracle for the ReLU rule: a masked select, +0.0 wherever the input
+    is not positive (NaN and -0.0 included)."""
+    mask = x.value > 0
+    return nnet.Node(np.where(mask, x.value, 0.0), parents=((x, lambda g: g * mask),))
+
+
 def dense_reference(w, b, x, activate):
     """The oracle for ``nnet.dense``: linear, bias and ReLU as three nodes."""
     y = add_bias_reference(nnet.linear(w, x), b)
-    return nnet.relu(y) if activate else y
+    return relu_reference(y) if activate else y
+
+
+# Every float64, -0.0, NaN, infinities and subnormals included.
+ANY_FLOAT = st.one_of(
+    st.just(-0.0), st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
 def adam_reference(state, params):
@@ -84,11 +102,9 @@ class TestDense:
         upstream[3] = [0.0, -0.0, 0.0, -0.0]
         return x, w, b, upstream
 
-    @pytest.mark.parametrize("activate", [True, False])
-    def test_matches_the_three_node_chain_bitwise(self, activate):
-        x, w, b, upstream = self._inputs()
-        pre = x @ w + b
-        assert pre[0, 0] == pre[2, 1] == 0.0 and np.isnan(pre[1]).all() and (pre > 0).any()
+    @staticmethod
+    def _fused_and_chained(x, w, b, upstream, activate):
+        """(value, w, b and x gradients) pairs from ``dense`` and its oracle."""
         runs = []
         for layer in (nnet.dense, dense_reference):
             wp, bp, xn = make_param("w", w), make_param("b", b), nnet.constant(x)
@@ -96,9 +112,30 @@ class TestDense:
             root = nnet.Node(np.float64(0.0), parents=((y, lambda g: g * upstream),))
             nnet.backward(root)
             runs.append((y.value, wp.grad, bp.grad, xn.grad))
-        for fused, chained in zip(*runs):
+        return zip(*runs)
+
+    @pytest.mark.parametrize("activate", [True, False])
+    def test_matches_the_three_node_chain_bitwise(self, activate):
+        x, w, b, upstream = self._inputs()
+        pre = x @ w + b
+        assert pre[0, 0] == pre[2, 1] == 0.0 and np.isnan(pre[1]).all() and (pre > 0).any()
+        for fused, chained in self._fused_and_chained(x, w, b, upstream, activate):
             np.testing.assert_array_equal(fused, chained)
             np.testing.assert_array_equal(np.signbit(fused), np.signbit(chained))
+
+    @given(
+        arrays(np.float64, (3, 2), elements=ANY_FLOAT),
+        arrays(np.float64, (2, 4), elements=ANY_FLOAT),
+        arrays(np.float64, (1, 4), elements=ANY_FLOAT),
+        arrays(np.float64, (3, 4), elements=ANY_FLOAT),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_floats_match_the_reference_bit_for_bit(self, x, w, b, upstream, activate):
+        with np.errstate(all="ignore"):
+            pairs = list(self._fused_and_chained(x, w, b, upstream, activate))
+        for fused, chained in pairs:
+            np.testing.assert_array_equal(bits(fused), bits(chained))
 
     def test_shape_mismatches_are_rejected(self):
         x = nnet.constant(np.zeros((2, 3)))
@@ -122,6 +159,68 @@ class TestRelu:
         out = nnet.relu(x)
         nnet.backward(out)
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0]])
+
+    @given(
+        arrays(np.float64, (4, 3), elements=ANY_FLOAT),
+        arrays(np.float64, (4, 3), elements=ANY_FLOAT),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_floats_match_the_reference_bit_for_bit(self, x, upstream):
+        runs = []
+        before = x.copy()
+        with np.errstate(all="ignore"):
+            for layer in (nnet.relu, relu_reference):
+                xn = nnet.constant(x)
+                y = layer(xn)
+                root = nnet.Node(np.float64(0.0), parents=((y, lambda g: g * upstream),))
+                nnet.backward(root)
+                runs.append((y.value, xn.grad))
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(bits(got), bits(want))
+        assert not np.signbit(runs[0][0]).any()
+        np.testing.assert_array_equal(bits(x), bits(before))
+
+
+class TestNoGrad:
+    def _layers(self):
+        """One node from each layer function, over one small input."""
+        x = nnet.constant(np.random.default_rng(4).normal(size=(4, 3)))
+        w, b = make_param("w", np.ones((3, 2))), make_param("b", np.zeros((1, 2)))
+        return [
+            nnet.dense(w, b, x, True),
+            nnet.linear(w, x),
+            nnet.relu(x),
+            nnet.matmul_const(np.eye(4), x),
+            nnet.maxpool_rows(x),
+            nnet.segment_maxpool(x, np.array([0, 2, 4])),
+            nnet.concat_cols([x, x]),
+            nnet.gather_rows(x, [0, 0, 3]),
+            nnet.gcn_layer(np.eye(4), x, make_param("g", np.ones((3, 3)))),
+            nnet.cross_entropy(nnet.linear(w, nnet.constant(x.value[:1])), 1),
+        ]
+
+    def test_nodes_keep_no_parents(self):
+        with nnet.no_grad():
+            inside = self._layers()
+        outside = self._layers()
+        assert all(node.parents == () for node in inside)
+        assert all(node.parents for node in outside)
+        for a, b in zip(inside, outside):
+            np.testing.assert_array_equal(bits(a.value), bits(b.value))
+
+    def test_nested_blocks_restore_the_outer_state(self):
+        x = nnet.constant([[1.0]])
+        with nnet.no_grad():
+            with nnet.no_grad():
+                pass
+            assert nnet.relu(x).parents == ()
+        assert nnet.relu(x).parents
+
+    def test_state_is_restored_when_the_block_raises(self):
+        with pytest.raises(RuntimeError, match="inside"):
+            with nnet.no_grad():
+                raise RuntimeError("inside")
+        assert nnet.relu(nnet.constant([[1.0]])).parents
 
 
 class TestMaxpool:
