@@ -37,6 +37,15 @@ VARIANTS = {
 }
 
 
+def variant_argv(name: str, run_dir: Path, seed: int, epochs: int) -> list[str]:
+    """The ``rigcn train`` command line that trains one variant."""
+    argv = ["train", "--config", str(DESK_PRESET), "--out", str(run_dir),
+            "--seed", str(seed), "--epochs", str(epochs)]
+    for item in VARIANTS[name]:
+        argv += ["--ablation", item]
+    return argv
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="runs/ablations")
@@ -52,14 +61,10 @@ def main() -> int:
     with open(results_path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["variant", "z_so3_accuracy", "train_minutes"])
-        for name, overrides in VARIANTS.items():
+        for name in VARIANTS:
             run_dir = out / name
-            argv = ["train", "--config", str(DESK_PRESET), "--out", str(run_dir),
-                    "--seed", str(args.seed), "--epochs", str(args.epochs)]
-            for item in overrides:
-                argv += ["--ablation", item]
             t0 = time.monotonic()
-            code = cli.main(argv)
+            code = cli.main(variant_argv(name, run_dir, args.seed, args.epochs))
             if code != 0:
                 return code
             minutes = (time.monotonic() - t0) / 60

@@ -4,6 +4,7 @@ with area-uniform surface sampling, OFF/XYZ file formats, and splits."""
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -150,29 +151,53 @@ def read_off(path) -> Mesh:
     return Mesh(vertices=vertices, faces=np.array(triangles, dtype=np.int64).reshape(-1, 3))
 
 
+def _parse_xyz(lines) -> np.ndarray:
+    """numpy's C text parser over an open file or a list of lines. An input
+    with no values gives an empty array instead of loadtxt's warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+
+
 def read_xyz(path) -> np.ndarray:
-    """One ``x y z`` triple per line, whitespace-separated."""
-    points = []
+    """One ``x y z`` triple per line, whitespace-separated. Blank lines are
+    skipped and nothing is a comment."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            points = _parse_xyz(fh)
+        except ValueError:
+            raise _xyz_error(path) from None
+    if points.shape[1] != 3 or not len(points):
+        raise _xyz_error(path)
+    return points
+
+
+def _xyz_error(path) -> ParseError:
+    """The error for the first line numpy cannot read as one triple, numbered
+    from 1 as an editor counts; numpy's own messages count rows otherwise."""
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
             if len(parts) != 3:
-                raise ParseError(f"{path}: line {ln}: expected 3 values, got {len(parts)}")
+                return ParseError(f"{path}: line {ln}: expected 3 values, got {len(parts)}")
             try:
-                points.append([float(p) for p in parts])
+                _parse_xyz([line])
             except ValueError:
-                raise ParseError(f"{path}: line {ln}: non-numeric coordinate") from None
-    if not points:
-        raise ParseError(f"{path}: no points found")
-    return np.array(points, dtype=np.float64)
+                return ParseError(f"{path}: line {ln}: non-numeric coordinate")
+    return ParseError(f"{path}: no points found")
 
 
 def write_xyz(points: np.ndarray, path) -> None:
+    """One ``x y z`` row per point, each value with the 17 significant digits
+    that read back bitwise."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"write_xyz expects an (N, 3) array, got shape {pts.shape}")
+    text = ("%.17g %.17g %.17g\n" * len(pts)) % tuple(pts.ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for x, y, z in np.asarray(points, dtype=np.float64):
-            fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
+        fh.write(text)
 
 
 # --- synthetic families ----------------------------------------------------

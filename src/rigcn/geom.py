@@ -267,7 +267,8 @@ def lrf_axes_batch(
     evecs = evecs[:, :, ::-1]
 
     proj = np.einsum("ti,tia->ta", centered, evecs[seg_ids])
-    moments = np.add.reduceat(proj**3, starts, axis=0)
+    # proj**3 calls libm pow per element; the product is about 40x cheaper.
+    moments = np.add.reduceat(proj * proj * proj, starts, axis=0)
     fallback = np.einsum("mi,mia->ma", mu - anchors, evecs)
     signs = _axis_signs(moments, fallback)
 

@@ -85,6 +85,11 @@ class RiGcnConfig:
         ):
             if lo < 1 or hi < lo:
                 raise ConfigError(f"invalid {name} [{lo}, {hi}]")
+        if self.transform_scope == "local" and self.k_range[0] < 3:
+            raise ConfigError(
+                f"k_range lower bound must be >= 3 for local frames (a PCA frame needs "
+                f"3 points per patch), got {self.k_range[0]}"
+            )
         if self.num_classes < 1:
             raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
         if self.g_hidden < 1 or self.classifier_hidden < 1:

@@ -287,9 +287,12 @@ def gather_rows(x: Node, indices) -> Node:
     idx = np.asarray(indices)
 
     def vjp(g):
-        gx = np.zeros_like(x.value)
-        np.add.at(gx, idx, g)
-        return gx
+        # One flat bincount over (row, column) cells; it sums each cell's
+        # contributions in index order, as np.add.at does, so the bits match.
+        n, c = x.value.shape
+        cells = (idx[:, None] * c + np.arange(c)).ravel()
+        gx = np.bincount(cells, weights=g.ravel(), minlength=n * c).reshape(n, c)
+        return gx.astype(x.value.dtype, copy=False)  # an empty bincount is integer
 
     return Node(x.value[idx], parents=((x, vjp),))
 

@@ -233,6 +233,17 @@ class TestTrain:
         assert cli.main(["train", "--config", str(cfg), "--ablation", item]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, ablation",
+        [({"model": {"k_range": [2, 2]}}, []), ({}, ["--ablation", "k_range=2,4"])],
+        ids=["config", "ablation"],
+    )
+    def test_k_range_below_three_exits_2_and_writes_nothing(self, tmp_path, capsys, overrides, ablation):
+        cfg = write_config(tmp_path, **overrides)
+        assert cli.main(["train", "--config", str(cfg)] + ablation) == 2
+        assert "k_range lower bound" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -650,6 +661,25 @@ class TestRemovedSettings:
         cli.build_parser().parse_args(base)
         assert exit_code(base + [a.format(**paths) for a in removed]) == 2
         assert not (tmp_path / "out").exists()
+
+
+class TestAblationScript:
+    def test_every_variant_builds_a_valid_config(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location("run_ablations", ROOT / "scripts" / "run_ablations.py")
+        script = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src on it
+        spec.loader.exec_module(script)
+        models = {}
+        for name in script.VARIANTS:
+            argv = script.variant_argv(name, tmp_path / name, seed=7, epochs=1)
+            args = cli.build_parser().parse_args(argv)
+            cfg = cli._apply_overrides(cli.load_experiment_config(args.config), args)
+            cfg.model.validate()
+            assert cfg.out_dir == str(tmp_path / name)
+            models[name] = cfg.model
+        assert not any(tmp_path.iterdir())
+        # Each variant is a different model.
+        assert len(set(models.values())) == len(models)
 
 
 class TestDeskPreset:

@@ -63,6 +63,13 @@ class TestConfig:
         with pytest.raises(model.ConfigError):
             tiny_config(**{field: bounds}).validate()
 
+    @pytest.mark.parametrize("k_range", [(1, 4), (2, 2)])
+    def test_local_frames_need_three_points_per_patch(self, k_range):
+        with pytest.raises(model.ConfigError, match="k_range lower bound must be >= 3"):
+            tiny_config(k_range=k_range).validate()
+        tiny_config(k_range=k_range, transform_scope="global").validate()
+        tiny_config(k_range=(3, k_range[1] + 1)).validate()
+
 
 class TestDrawInterval:
     def test_midpoint_when_deterministic(self):

@@ -223,6 +223,32 @@ class TestNoGrad:
         assert nnet.relu(nnet.constant([[1.0]])).parents
 
 
+class TestGatherRows:
+    def test_forward_selects_rows(self):
+        x = nnet.constant(np.arange(6.0).reshape(3, 2))
+        np.testing.assert_array_equal(nnet.gather_rows(x, [2, 0, 2]).value, [[4, 5], [0, 1], [4, 5]])
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.lists(st.integers(0, 5), max_size=24),
+        arrays(np.float64, (24, 4), elements=ANY_FLOAT),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_vjp_is_bitwise_np_add_at(self, n, c, rows, values):
+        # Repeated indices sum in index order, as np.add.at adds them.
+        idx = np.array([r % n for r in rows], dtype=np.int64)
+        g = values[: len(idx), :c]
+        x = nnet.constant(np.zeros((n, c)))
+        (_, vjp), = nnet.gather_rows(x, idx).parents
+        expected = np.zeros((n, c))
+        with np.errstate(all="ignore"):
+            np.add.at(expected, idx, g)
+            got = vjp(g)
+        assert got.dtype == np.float64 and got.shape == (n, c)
+        np.testing.assert_array_equal(bits(got), bits(expected))
+
+
 class TestMaxpool:
     def test_columnwise_max(self):
         out = nnet.maxpool_rows(nnet.constant([[1.0, 5.0], [3.0, 2.0]]))
