@@ -110,6 +110,12 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         cfg = dataclasses.replace(cfg, deterministic=True)
     if getattr(args, "epochs", None) is not None:
         cfg = dataclasses.replace(cfg, training=dataclasses.replace(cfg.training, epochs=args.epochs))
+    if cfg.training.epochs < 0:
+        raise ConfigError(f"training.epochs must be >= 0, got {cfg.training.epochs}")
+    for name in ("learning_rate", "lr_decay"):
+        value = getattr(cfg.training, name)
+        if not 0 < value < np.inf:
+            raise ConfigError(f"training.{name} must be finite and > 0, got {value}")
     model_cfg = dataclasses.replace(cfg.model, seed=cfg.seed)
     for item in getattr(args, "ablation", None) or []:
         key, sep, raw = item.partition("=")
@@ -164,7 +170,7 @@ def _check_cloud(source: str, cloud: np.ndarray, config: RiGcnConfig) -> None:
         geom.as_cloud(cloud)
     except ValueError as e:
         raise ConfigError(f"cloud {source!r}: {e}") from None
-    need = config.resolved_level_sizes()[0]
+    need = config.level_sizes[0]
     if len(cloud) < need:
         raise ConfigError(f"cloud {source!r} has {len(cloud)} points but level 0 needs {need}")
 
@@ -294,6 +300,8 @@ def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_invariance_check(cfg: ExperimentConfig, args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.checkpoint is not None and args.ablation:
         raise ConfigError(
             "--ablation does not apply with --checkpoint: the checkpoint's config decides the model"
@@ -507,7 +515,7 @@ def main(argv=None) -> int:
     except nnet.TrainingDivergenceError as e:
         print(f"divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigError, data.ParseError, FileNotFoundError, ValueError) as e:
+    except (OSError, ValueError) as e:  # ConfigError and data.ParseError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,11 +1,12 @@
-"""Dataset provisioning: synthetic labeled shape families, mesh ingestion
-with area-uniform surface sampling, OFF/XYZ file formats, and splits."""
+"""Dataset provisioning: synthetic labeled shape families (some sampled
+area-uniformly from triangle meshes), the XYZ point-file format, and splits
+read from and written to a manifest."""
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ from . import geom
 
 
 class ParseError(ValueError):
-    """Malformed mesh or point file; the message carries the line number."""
+    """Malformed point file or manifest; the message carries the line
+    number."""
 
 
 @dataclass
@@ -78,77 +80,7 @@ def sample_mesh_surface(mesh: Mesh, n: int, rng: np.random.Generator) -> np.ndar
     )
 
 
-# --- OFF / XYZ files -------------------------------------------------------
-
-
-def _tokens_with_lines(path) -> list[tuple[int, str]]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0]
-            out.extend((ln, tok) for tok in body.split())
-    return out
-
-
-class _TokenStream:
-    def __init__(self, path):
-        self._toks = _tokens_with_lines(path)
-        self._pos = 0
-        self._path = path
-
-    def next(self, what: str) -> tuple[int, str]:
-        if self._pos >= len(self._toks):
-            raise ParseError(f"{self._path}: unexpected end of file while reading {what}")
-        tok = self._toks[self._pos]
-        self._pos += 1
-        return tok
-
-    def next_int(self, what: str) -> tuple[int, int]:
-        ln, tok = self.next(what)
-        try:
-            return ln, int(tok)
-        except ValueError:
-            raise ParseError(f"{self._path}: line {ln}: expected integer {what}, got {tok!r}") from None
-
-    def next_float(self, what: str) -> tuple[int, float]:
-        ln, tok = self.next(what)
-        try:
-            return ln, float(tok)
-        except ValueError:
-            raise ParseError(f"{self._path}: line {ln}: expected number {what}, got {tok!r}") from None
-
-
-def read_off(path) -> Mesh:
-    """Parse the OFF subset: header token, counts, vertices, then faces.
-
-    Faces with more than 3 vertices are fan-triangulated around their first
-    vertex. ``#`` starts a comment.
-    """
-    ts = _TokenStream(path)
-    ln, header = ts.next("header")
-    if header != "OFF":
-        raise ParseError(f"{path}: line {ln}: expected 'OFF' header, got {header!r}")
-    _, nv = ts.next_int("vertex count")
-    _, nf = ts.next_int("face count")
-    ts.next_int("edge count")
-    vertices = np.empty((nv, 3))
-    for i in range(nv):
-        for j in range(3):
-            _, vertices[i, j] = ts.next_float("vertex coordinate")
-    triangles: list[tuple[int, int, int]] = []
-    for _ in range(nf):
-        ln, arity = ts.next_int("face vertex count")
-        if arity < 3:
-            raise ParseError(f"{path}: line {ln}: face needs >= 3 vertices, got {arity}")
-        idx = []
-        for _ in range(arity):
-            ln2, v = ts.next_int("face vertex index")
-            if not 0 <= v < nv:
-                raise ParseError(f"{path}: line {ln2}: face index {v} out of range [0, {nv})")
-            idx.append(v)
-        for a, b in zip(idx[1:], idx[2:]):
-            triangles.append((idx[0], a, b))
-    return Mesh(vertices=vertices, faces=np.array(triangles, dtype=np.int64).reshape(-1, 3))
+# --- XYZ files -------------------------------------------------------------
 
 
 def _parse_xyz(lines) -> np.ndarray:

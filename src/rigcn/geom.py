@@ -26,18 +26,6 @@ class DegeneratePatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class LocalFrame:
-    """An anchor origin plus a right-handed orthonormal axis matrix.
-
-    ``axes`` columns are the principal directions in eigenvalue-descending
-    order; ``axes[:, 2]`` is always ``axes[:, 0] x axes[:, 1]``.
-    """
-
-    origin: np.ndarray
-    axes: np.ndarray
-
-
-@dataclass(frozen=True)
 class CorruptionSpec:
     """Gaussian jitter sigma plus a count of injected outlier points."""
 
@@ -312,25 +300,20 @@ def _complete_degenerate(
     return axes
 
 
-def global_pca_frame(points) -> LocalFrame:
-    """Whole-cloud PCA frame anchored at the centroid.
+def global_pca_frame(points) -> np.ndarray:
+    """The points expressed in their whole-cloud PCA frame: rows of
+    ``(p - centroid) @ axes``.
 
     Used by the global-transformation variant: the full cloud plays the role
-    of a single neighborhood, with the same sign rule as local frames.
+    of a single neighborhood, with the same axes and sign rule as local
+    frames (``lrf_axes_batch``), anchored at the centroid.
     """
     pts = as_cloud(points)
     if len(pts) < 3:
         raise DegeneratePatchError("need >= 3 points for a whole-cloud frame")
     centroid = pts.mean(axis=0)
-    offsets = np.array([0, len(pts)])
-    axes = lrf_axes_batch(pts, offsets, centroid[None, :])[0]
-    return LocalFrame(origin=centroid, axes=axes)
-
-
-def project_to_lrf(frame: LocalFrame, points) -> np.ndarray:
-    """Express points in the frame: rows of ``(p - origin)^T @ axes``."""
-    pts = np.asarray(points, dtype=np.float64)
-    return (pts - frame.origin) @ frame.axes
+    axes = lrf_axes_batch(pts, np.array([0, len(pts)]), centroid[None, :])[0]
+    return (pts - centroid) @ axes
 
 
 def random_rotation(rng: np.random.Generator, mode: str) -> np.ndarray:

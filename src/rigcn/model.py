@@ -26,16 +26,15 @@ class ConfigError(ValueError):
 class RiGcnConfig:
     """Architecture and stochasticity settings.
 
-    ``level_sizes`` and ``channels`` may be left as ``None`` to derive a
-    pyramid from ``num_points`` (halve once, then quarter per level) and the
-    64/128/256/512 width ladder.
+    ``level_sizes`` and ``channels`` hold one entry per level; ``levels``
+    must equal their length.
     """
 
     num_points: int = 1024
     num_classes: int = 8
     levels: int = 3
-    level_sizes: tuple[int, ...] | None = None
-    channels: tuple[int, ...] | None = None
+    level_sizes: tuple[int, ...] = (512, 128, 32)
+    channels: tuple[int, ...] = (64, 128, 256)
     k_range: tuple[int, int] = (24, 40)
     d_range: tuple[int, int] = (1, 4)
     khat_range: tuple[int, int] = (6, 12)
@@ -48,23 +47,10 @@ class RiGcnConfig:
     transform_scope: str = "local"
     seed: int = 0
 
-    def resolved_level_sizes(self) -> tuple[int, ...]:
-        if self.level_sizes is not None:
-            return tuple(int(m) for m in self.level_sizes)
-        sizes = [self.num_points // 2]
-        for _ in range(self.levels - 1):
-            sizes.append(sizes[-1] // 4)
-        return tuple(sizes)
-
-    def resolved_channels(self) -> tuple[int, ...]:
-        if self.channels is not None:
-            return tuple(int(c) for c in self.channels)
-        return tuple(64 * 2**l for l in range(self.levels))
-
     def validate(self) -> None:
         if not 1 <= self.levels <= 4:
             raise ConfigError(f"levels must be in [1, 4], got {self.levels}")
-        sizes = self.resolved_level_sizes()
+        sizes = self.level_sizes
         if len(sizes) != self.levels:
             raise ConfigError(f"need {self.levels} level sizes, got {sizes}")
         if sizes[0] > self.num_points:
@@ -73,7 +59,7 @@ class RiGcnConfig:
             raise ConfigError(f"level sizes must be strictly decreasing, got {sizes}")
         if sizes[-1] < 2:
             raise ConfigError(f"every level needs >= 2 points, got {sizes}")
-        channels = self.resolved_channels()
+        channels = self.channels
         if len(channels) != self.levels:
             raise ConfigError(f"need {self.levels} channel widths, got {channels}")
         if any(c < 2 or c % 2 for c in channels):
@@ -167,7 +153,7 @@ class RiGcnModel:
         config.validate()
         self.config = config
         rng = np.random.default_rng(config.seed)
-        channels = config.resolved_channels()
+        channels = config.channels
         self.g1: list[list[nnet.Parameter]] = []
         self.g2: list[nnet.Parameter] | None = None
         self.h: list[list[nnet.Parameter] | None] = []
@@ -202,7 +188,7 @@ def save_model(model: RiGcnModel, path) -> None:
 
 def load_model(path) -> RiGcnModel:
     config_dict, values = nnet.load_checkpoint(path)
-    model = RiGcnModel(from_dict(RiGcnConfig, config_dict, "checkpoint config"))
+    model = RiGcnModel(from_dict(RiGcnConfig, config_dict, f"{path}: config"))
     for p in model.parameters():
         if p.name not in values:
             raise ValueError(f"checkpoint is missing parameter {p.name!r}")
@@ -308,7 +294,7 @@ def extract_descriptors(
     the caller is expected to have canonically rotated the whole cloud.
     """
     cfg = model.config
-    m0 = cfg.resolved_level_sizes()[0]
+    m0 = cfg.level_sizes[0]
     if len(points) < m0:
         raise ConfigError(f"cloud has {len(points)} points but level 0 needs {m0}")
     sel, d2, order, pos, block = _sample(points, m0, None)
@@ -341,7 +327,7 @@ def extend_descriptors(
     """
     cfg = model.config
     level = prev.level + 1
-    m_l = cfg.resolved_level_sizes()[level]
+    m_l = cfg.level_sizes[level]
     if m_l > len(prev.points):
         raise ConfigError(
             f"level {level} size {m_l} exceeds previous level size {len(prev.points)}"
@@ -379,17 +365,15 @@ def abstract_level(
     model: RiGcnModel, desc: DescriptorSet, rng: np.random.Generator | None = None
 ) -> nnet.Node:
     """Level summary: graph convolution over the level's k-NN graph followed
-    by max pooling. The MLP variant drops the adjacency (identity graph)."""
+    by max pooling. The MLP variant convolves over the identity graph."""
     n = len(desc.points)
     if n < 2:
         raise graph.DegenerateGraphError(f"level {desc.level} has {n} < 2 nodes")
-    w = model.gcn_w[desc.level]
     if model.config.abstraction == "gcn":
-        weights = level_graph(model.config, desc, rng)
-        h = nnet.gcn_layer(graph.renormalize(weights), desc.features, w)
+        a_hat = graph.renormalize(level_graph(model.config, desc, rng))
     else:
-        h = nnet.relu(nnet.linear(w, desc.features))
-    return nnet.maxpool_rows(h)
+        a_hat = np.eye(n)
+    return nnet.maxpool_rows(nnet.gcn_layer(a_hat, desc.features, model.gcn_w[desc.level]))
 
 
 def level_descriptors(
@@ -400,8 +384,7 @@ def level_descriptors(
     cfg = model.config
     pts = np.asarray(points, dtype=np.float64)
     if cfg.transform_scope == "global":
-        frame = geom.global_pca_frame(pts)
-        pts = geom.project_to_lrf(frame, pts)
+        pts = geom.global_pca_frame(pts)
     descs = [extract_descriptors(model, pts, rng)]
     for _ in range(1, cfg.levels):
         descs.append(extend_descriptors(model, descs[-1], rng))

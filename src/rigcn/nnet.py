@@ -2,21 +2,22 @@
 
 A forward pass builds a small DAG of ``Node`` objects; ``backward`` walks it
 in reverse topological order and accumulates gradients into ``Parameter``
-buffers. The layer set is fixed: dense (affine, optionally followed by ReLU,
-as one node), linear, ReLU, row/segment max pooling, column concatenation,
-row gathering, multiplication by a constant matrix, and softmax
-cross-entropy. A ``ParameterSet`` keeps a model's values and gradients in two
-flat buffers, which Adam updates in a few whole-buffer passes.
+buffers. The layer set is fixed: dense (affine, optionally followed by ReLU)
+and graph convolution (ReLU of a constant matrix times a linear map), each as
+one node, row/segment max pooling, column concatenation, row gathering, and
+softmax cross-entropy. A ``ParameterSet`` keeps a model's values and
+gradients in two flat buffers, which Adam updates in a few whole-buffer
+passes.
 
 Inside a ``no_grad()`` block the same layer functions run without a graph:
 every ``Node`` keeps no parents, so each intermediate array is freed as soon
 as the next layer has consumed it, and the result cannot be differentiated.
 
-ReLU has one rule, used by ``dense`` and ``relu``: ``max(0, x)`` with +0.0 for
-every input that is not positive (-0.0, NaN and negatives included), and a
-subgradient of 0 at exactly 0. Its backward masks the upstream gradient with
-``output > 0``, which holds exactly where the input was positive, so no
-caller may change a node's value in place.
+ReLU has one rule, used by ``dense`` and ``gcn_layer``: ``max(0, x)`` with
++0.0 for every input that is not positive (-0.0, NaN and negatives
+included), and a subgradient of 0 at exactly 0. Its backward masks the
+upstream gradient with ``output > 0``, which holds exactly where the input
+was positive, so no caller may change a node's value in place.
 """
 
 from __future__ import annotations
@@ -160,29 +161,31 @@ def constant(value) -> Node:
     return Node(np.asarray(value, dtype=np.float64))
 
 
-def linear(param: Parameter, x: Node) -> Node:
-    """Y = X @ W. Backward: dW += X^T G, dX = G W^T."""
-    xv, w = x.value, param.value
-    if xv.shape[1] != w.shape[0]:
-        raise ShapeError(f"linear: input shape {xv.shape} does not match weight shape {w.shape}")
-    return Node(xv @ w, parents=((param, lambda g: xv.T @ g), (x, lambda g: g @ w.T)))
-
-
-def _relu(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The ReLU rule: ``fmax`` sends NaN to 0.0, and adding +0.0 turns the
-    -0.0 it may keep into +0.0 while leaving every other value as it is.
-    Branch-free, unlike a masked copy."""
-    y = np.fmax(v, 0.0, out=out)
+def _relu(y: np.ndarray) -> None:
+    """The ReLU rule, in place: ``fmax`` sends NaN to 0.0, and adding +0.0
+    turns the -0.0 it may keep into +0.0 while leaving every other value as
+    it is. Branch-free, unlike a masked copy."""
+    np.fmax(y, 0.0, out=y)
     y += 0.0
-    return y
+
+
+def _once_per_upstream(fn):
+    """``fn`` computed once per upstream gradient: every vjp of a node runs
+    on the same ``g`` object in one backward, so the first call's result is
+    reused by the others."""
+    seen = [None, None]
+
+    def shared(g):
+        if seen[0] is not g:
+            seen[0], seen[1] = g, fn(g)
+        return seen[1]
+
+    return shared
 
 
 def dense(w: Parameter, b: Parameter, x: Node, activate: bool) -> Node:
     """Y = X @ W + b with a (1, c) bias row, then ReLU when ``activate``, as
-    one node over one array.
-
-    Bitwise the same as ``relu`` over the bias add over ``linear``.
-    """
+    one node over one array."""
     xv, wv = x.value, w.value
     if xv.shape[1] != wv.shape[0]:
         raise ShapeError(f"dense: input shape {xv.shape} does not match weight shape {wv.shape}")
@@ -191,14 +194,8 @@ def dense(w: Parameter, b: Parameter, x: Node, activate: bool) -> Node:
     y = xv @ wv
     y += b.value
     if activate:
-        _relu(y, out=y)
-        # The three vjps run on the same upstream gradient; mask it once.
-        seen = [None, None]
-
-        def upstream(g):
-            if seen[0] is not g:
-                seen[0], seen[1] = g, g * (y > 0)
-            return seen[1]
+        _relu(y)
+        upstream = _once_per_upstream(lambda g: g * (y > 0))
     else:
         def upstream(g):
             return g
@@ -211,19 +208,6 @@ def dense(w: Parameter, b: Parameter, x: Node, activate: bool) -> Node:
             (x, lambda g: upstream(g) @ wv.T),
         ),
     )
-
-
-def relu(x: Node) -> Node:
-    """Elementwise max(0, x) by the module's ReLU rule."""
-    y = _relu(x.value)
-    return Node(y, parents=((x, lambda g: g * (y > 0)),))
-
-
-def matmul_const(a: np.ndarray, x: Node) -> Node:
-    """Y = A @ X for a constant matrix A (no gradient into A)."""
-    if a.shape[1] != x.value.shape[0]:
-        raise ShapeError(f"matmul: A shape {a.shape} does not match X shape {x.value.shape}")
-    return Node(a @ x.value, parents=((x, lambda g: a.T @ g),))
 
 
 def maxpool_rows(x: Node) -> Node:
@@ -297,13 +281,19 @@ def gather_rows(x: Node, indices) -> Node:
     return Node(x.value[idx], parents=((x, vjp),))
 
 
-def gcn_layer(a_hat: np.ndarray, x: Node, param: Parameter) -> Node:
-    """One graph convolution: ReLU(A_hat @ X @ W)."""
-    if a_hat.shape[0] != a_hat.shape[1] or a_hat.shape[1] != x.value.shape[0]:
-        raise ShapeError(
-            f"gcn_layer: adjacency {a_hat.shape} does not match signal {x.value.shape}"
-        )
-    return relu(matmul_const(a_hat, linear(param, x)))
+def gcn_layer(a_hat: np.ndarray, x: Node, w: Parameter) -> Node:
+    """One graph convolution, ReLU(A_hat @ (X @ W)), as one node; A_hat is a
+    constant (no gradient flows into it), and the identity makes the layer a
+    per-row linear map and ReLU."""
+    xv, wv = x.value, w.value
+    if a_hat.shape[0] != a_hat.shape[1] or a_hat.shape[1] != xv.shape[0]:
+        raise ShapeError(f"gcn_layer: adjacency {a_hat.shape} does not match signal {xv.shape}")
+    if xv.shape[1] != wv.shape[0]:
+        raise ShapeError(f"gcn_layer: input shape {xv.shape} does not match weight shape {wv.shape}")
+    y = a_hat @ (xv @ wv)
+    _relu(y)
+    upstream = _once_per_upstream(lambda g: a_hat.T @ (g * (y > 0)))
+    return Node(y, parents=((w, lambda g: xv.T @ upstream(g)), (x, lambda g: upstream(g) @ wv.T)))
 
 
 def softmax_cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
@@ -437,11 +427,6 @@ def gradient_check_blocks(loss_fn, params: list[Parameter], eps: float = 1e-6) -
         errors[p.name] = worst
         p.zero_grad()
     return errors
-
-
-def gradient_check(loss_fn, params: list[Parameter], eps: float = 1e-6) -> float:
-    """Worst relative finite-difference error over all parameter entries."""
-    return max(gradient_check_blocks(loss_fn, params, eps).values())
 
 
 def save_checkpoint(path, config: dict, params: list[Parameter]) -> None:

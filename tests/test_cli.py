@@ -247,6 +247,29 @@ class TestTrain:
     def test_missing_config_file_exits_2(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_config_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        assert cli.main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+        assert "directory" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, flags, field",
+        [
+            ({}, ["--epochs", "-2"], "epochs"),
+            ({"training": {"learning_rate": -1.0}}, [], "learning_rate"),
+            ({"training": {"learning_rate": 0.0}}, [], "learning_rate"),
+            ({"training": {"learning_rate": float("nan")}}, [], "learning_rate"),
+            ({"training": {"lr_decay": 0.0}}, [], "lr_decay"),
+            ({"training": {"lr_decay": float("inf")}}, [], "lr_decay"),
+        ],
+        ids=["negative_epochs", "negative_lr", "zero_lr", "nan_lr", "zero_decay", "inf_decay"],
+    )
+    def test_bad_training_value_exits_2_and_writes_nothing(self, tmp_path, capsys, overrides, flags, field):
+        cfg = write_config(tmp_path, **overrides)
+        assert cli.main(["train", "--config", str(cfg)] + flags) == 2
+        assert f"training.{field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_dataset_class_mismatch_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, model={"num_classes": 5})
         assert cli.main(["train", "--config", str(cfg)]) == 2
@@ -371,8 +394,14 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "edit",
-        [lambda header: header.pop("params"), lambda header: header["params"][0].update(shape=5)],
-        ids=["without_params", "scalar_shape"],
+        [
+            lambda header: header.pop("params"),
+            lambda header: header["params"][0].update(shape=5),
+            # Headers once held null for a config that left the sizes out;
+            # such a checkpoint is rejected, never read as the default.
+            lambda header: header["config"].update(level_sizes=None),
+        ],
+        ids=["without_params", "scalar_shape", "null_level_sizes"],
     )
     def test_malformed_checkpoint_header_exits_2(self, trained, tmp_path, capsys, edit):
         _, ckpt, _ = trained
@@ -394,6 +423,13 @@ class TestInvarianceCheck:
     def test_fresh_init_passes(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli.main(["invariance-check", "--config", str(cfg), "--trials", "10"]) == 0
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_exits_2(self, tmp_path, capsys, trials):
+        cfg = write_config(tmp_path)
+        assert cli.main(["invariance-check", "--config", str(cfg), "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert "--trials" in captured.err and "PASSED" not in captured.out
 
     def test_identity_rotations_give_zero_deviation(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(geom, "random_rotation", lambda rng, mode: np.eye(3))
@@ -565,6 +601,14 @@ class TestExportGraphs:
         assert "short.xyz" in capsys.readouterr().err
         assert not (out / "config.json").exists()
 
+    def test_cloud_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "graphs"
+        args = ["export-graphs", "--config", str(cfg), "--cloud", str(tmp_path), "--out", str(out)]
+        assert cli.main(args) == 2
+        assert "directory" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGradcheck:
     def test_default_small_config_passes(self, capsys):
@@ -581,8 +625,9 @@ class TestGradcheck:
         for name in names:
             assert sum(1 for line in lines if line.startswith(name + " ")) == 1
 
-    # linear carries the GCN weights, dense every MLP weight.
-    @pytest.mark.parametrize("layer", ["linear", "dense"])
+    # gcn_layer carries the GCN weights, dense every MLP weight; each keeps
+    # its weight as parents[0].
+    @pytest.mark.parametrize("layer", ["gcn_layer", "dense"])
     def test_corrupted_backward_fails_with_exit_1(self, monkeypatch, layer):
         original = getattr(nnet, layer)
 
@@ -682,19 +727,37 @@ class TestAblationScript:
         assert len(set(models.values())) == len(models)
 
 
+def load_perfbench(name, monkeypatch):
+    """The benchmark module ``perfbench/<name>.py``, imported from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up while the file executes.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkHooks:
+    """What the benchmark uses of the package, so that removing it fails
+    here and not only when the benchmark runs."""
+
+    def test_every_span_target_resolves(self, monkeypatch):
+        spans = load_perfbench("spans", monkeypatch)
+        for module, attr, _, _ in spans.COMPUTE_TARGETS + spans.DATA_TARGETS:
+            assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+    def test_desk_config_validates(self, monkeypatch):
+        workloads = load_perfbench("workloads", monkeypatch)
+        model.RiGcnConfig(**workloads.DESK_CONFIG).validate()
+
+
 class TestDeskPreset:
     def test_model_section_is_the_benchmarked_desk_model(self, monkeypatch):
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-        )
-        workloads = importlib.util.module_from_spec(spec)
-        # Its dataclasses look their module up while the file executes.
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
+        workloads = load_perfbench("workloads", monkeypatch)
         preset = json.loads((ROOT / "configs" / "desk.json").read_text())
         assert preset["model"] == json.loads(json.dumps(workloads.DESK_CONFIG))
 
     def test_preset_loads(self):
         cfg = cli.load_experiment_config(ROOT / "configs" / "desk.json")
-        assert cfg.model.resolved_level_sizes() == (128, 32, 8)
+        assert cfg.model.level_sizes == (128, 32, 8)
         assert cfg.model.classifier_hidden == 64

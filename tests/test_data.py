@@ -63,46 +63,6 @@ class TestSampleMeshSurface:
         assert chi2 < 37.7
 
 
-class TestOffFiles:
-    def test_minimal_valid_file(self, tmp_path):
-        path = tmp_path / "tri.off"
-        path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
-        mesh = data.read_off(path)
-        assert mesh.vertices.shape == (3, 3)
-        assert mesh.faces.shape == (1, 3)
-
-    def test_quad_fan_triangulated(self, tmp_path):
-        path = tmp_path / "quad.off"
-        path.write_text(
-            "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n"
-        )
-        mesh = data.read_off(path)
-        assert mesh.faces.tolist() == [[0, 1, 2], [0, 2, 3]]
-
-    def test_header_error_carries_line(self, tmp_path):
-        path = tmp_path / "bad.off"
-        path.write_text("OFFX\n3 1 0\n")
-        with pytest.raises(data.ParseError, match="line 1"):
-            data.read_off(path)
-
-    def test_face_index_out_of_range(self, tmp_path):
-        path = tmp_path / "bad.off"
-        path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n")
-        with pytest.raises(data.ParseError, match="line 6"):
-            data.read_off(path)
-
-    def test_non_numeric_token(self, tmp_path):
-        path = tmp_path / "bad.off"
-        path.write_text("OFF\n3 one 0\n")
-        with pytest.raises(data.ParseError, match="line 2"):
-            data.read_off(path)
-
-    def test_comments_are_skipped(self, tmp_path):
-        path = tmp_path / "c.off"
-        path.write_text("OFF # header\n# counts next\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
-        assert data.read_off(path).faces.shape == (1, 3)
-
-
 def float_reader_reference(path) -> np.ndarray:
     """The oracle for ``data.read_xyz``: a line loop over ``str.split`` and
     ``float``. It reads underscores and non-ASCII digits, which numpy's

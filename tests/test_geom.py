@@ -273,26 +273,37 @@ class TestLrfAxesBatch:
 
 
 class TestProjectToLrf:
-    def test_identity_frame_is_identity(self, cloud):
-        frame = geom.LocalFrame(origin=np.zeros(3), axes=np.eye(3))
-        np.testing.assert_array_equal(geom.project_to_lrf(frame, cloud), cloud)
+    """``global_pca_frame``: a cloud expressed in its whole-cloud frame."""
+
+    # Centered on the origin, with covariance diag(12, 6, 2) / 9 and positive
+    # third moments along x and y: the cloud is in its own frame already.
+    IN_FRAME = np.array(
+        [
+            [3.0, 0, 0], [-1.0, 0, 0], [-1.0, 0, 0], [-1.0, 0, 0],
+            [0, 2.0, 0], [0, -1.0, 0], [0, -1.0, 0],
+            [0, 0, 1.0], [0, 0, -1.0],
+        ]
+    )
+
+    def test_identity_frame_is_identity(self):
+        np.testing.assert_allclose(geom.global_pca_frame(self.IN_FRAME), self.IN_FRAME, atol=1e-12)
 
     def test_rotated_frame_hand_value(self):
         c, s = np.cos(np.pi / 2), np.sin(np.pi / 2)
-        axes = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-        frame = geom.LocalFrame(origin=np.zeros(3), axes=axes)
-        out = geom.project_to_lrf(frame, np.array([[1.0, 0, 0]]))
-        np.testing.assert_allclose(out, [[0.0, -1.0, 0.0]], atol=1e-15)
+        rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
+        moved = geom.rotate(self.IN_FRAME, rot) + [5.0, -2.0, 0.5]
+        assert np.abs(moved[0] - [5.0, 1.0, 0.5]).max() < 1e-15
+        out = geom.global_pca_frame(moved)
+        np.testing.assert_allclose(out[0], [3.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(out, self.IN_FRAME, atol=1e-12)
 
     @given(st.integers(0, 300))
     @settings(max_examples=30, deadline=None)
     def test_simultaneous_rotation_cancels(self, seed):
         pts = random_cloud(seed, 12)
         rot = geom.random_rotation(np.random.default_rng(seed + 5), "so3")
-        frame = geom.LocalFrame(origin=pts[0], axes=np.eye(3))
-        frame_rot = geom.LocalFrame(origin=rot @ pts[0], axes=rot @ np.eye(3))
-        a = geom.project_to_lrf(frame, pts)
-        b = geom.project_to_lrf(frame_rot, geom.rotate(pts, rot))
+        a = geom.global_pca_frame(pts)
+        b = geom.global_pca_frame(geom.rotate(pts, rot))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 

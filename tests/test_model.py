@@ -1,16 +1,20 @@
 import hashlib
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigcn import data, geom, graph, model, nnet
+from rigcn import cli, data, geom, graph, model, nnet
 
 from conftest import random_cloud, tiny_config
 from test_geom import dilated_knn
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def tiny_net(**overrides):
@@ -29,9 +33,11 @@ def gather(pts, anchors, ks, ds):
 
 class TestConfig:
     def test_default_pyramid_matches_1024(self):
-        cfg = model.RiGcnConfig(num_points=1024)
-        assert cfg.resolved_level_sizes() == (512, 128, 32)
-        assert cfg.resolved_channels() == (64, 128, 256)
+        cfg = model.RiGcnConfig()
+        assert cfg.num_points == 1024 and cfg.levels == 3
+        assert cfg.level_sizes == (512, 128, 32)
+        assert cfg.channels == (64, 128, 256)
+        cfg.validate()
 
     def test_level_count_bounds(self):
         with pytest.raises(model.ConfigError):
@@ -96,10 +102,10 @@ class TestDrawInterval:
 class TestExtractDescriptors:
     def test_shapes_and_axis_invariants(self, cloud, tiny_model):
         desc = model.extract_descriptors(tiny_model, cloud)
-        m0 = tiny_model.config.resolved_level_sizes()[0]
+        m0 = tiny_model.config.level_sizes[0]
         assert desc.points.shape == (m0, 3)
         assert desc.axes.shape == (m0, 3, 3)
-        assert desc.features.value.shape == (m0, tiny_model.config.resolved_channels()[0])
+        assert desc.features.value.shape == (m0, tiny_model.config.channels[0])
         dets = np.linalg.det(desc.axes)
         np.testing.assert_allclose(dets, np.ones(m0), atol=1e-9)
 
@@ -275,7 +281,7 @@ class TestAbstractLevel:
 
     def test_mlp_ablation_with_identity_weight(self, cloud):
         net = tiny_net(abstraction="mlp")
-        c0 = net.config.resolved_channels()[0]
+        c0 = net.config.channels[0]
         net.gcn_w[0].value[...] = np.eye(c0)
         desc = model.extract_descriptors(net, cloud)
         out = model.abstract_level(net, desc)
@@ -422,8 +428,8 @@ class TestForward:
         def loss_fn():
             return nnet.cross_entropy(model.forward(tiny_model, cloud), 1)
 
-        err = nnet.gradient_check(loss_fn, tiny_model.parameters(), eps=1e-6)
-        assert err <= 1e-5
+        errors = nnet.gradient_check_blocks(loss_fn, tiny_model.parameters(), eps=1e-6)
+        assert max(errors.values()) <= 1e-5
 
 
 def dag_size(root):
@@ -462,6 +468,13 @@ class TestGraphFreeLogits:
         monkeypatch.setattr(model, "forward", keep_root)
         model.logits(tiny_model, cloud)
         assert [dag_size(r) for r in roots] == [1]
+
+    def test_desk_forward_node_count_is_pinned(self):
+        # Per level: 11 descriptor nodes, the graph convolution and its pool;
+        # then the summary concatenation and the two classifier layers.
+        desk = cli.load_experiment_config(ROOT / "configs" / "desk.json").model
+        out = model.forward(model.RiGcnModel(desk), random_cloud(0, desk.num_points))
+        assert dag_size(out) == 42
 
     def test_a_rejected_cloud_leaves_graph_mode_on(self, cloud, tiny_model):
         size = dag_size(model.forward(tiny_model, cloud))
@@ -508,20 +521,28 @@ class TestTrainEvaluate:
         for a, b in zip(p_a, p_b):
             np.testing.assert_array_equal(a, b)
 
-    def test_trajectory_is_pinned(self, tmp_path):
+    def _two_epoch_digest(self, tmp_path, **overrides):
         # The checkpoint digest after two seeded epochs: a change that moves
         # any bit of the training arithmetic shows up here. The bits depend
         # on the numpy and BLAS build.
         clouds, labels = self._toy_data()
-        net = tiny_net(num_classes=2)
+        net = tiny_net(num_classes=2, **overrides)
         state = nnet.OptimizerState()
         rng = np.random.default_rng(4)
         for _ in range(2):
             model.train_epoch(net, clouds, labels, "z", state, rng)
         path = tmp_path / "m.ckpt"
         model.save_model(net, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_trajectory_is_pinned(self, tmp_path):
+        assert self._two_epoch_digest(tmp_path) == (
             "c086f422af85bea4471f2dbd705e008fbbd012fca9add781af53c493250cb22f"
+        )
+
+    def test_mlp_abstraction_trajectory_is_pinned(self, tmp_path):
+        assert self._two_epoch_digest(tmp_path, abstraction="mlp") == (
+            "c726eb4f5e004993587ca5b6c29271cc7d70e4b3bfb2329d5bd84cceb297d08e"
         )
 
     def test_toy_set_is_learnable(self):

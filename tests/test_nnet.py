@@ -12,6 +12,12 @@ def make_param(name, value):
     return nnet.Parameter(name, value, np.zeros_like(value))
 
 
+def linear_reference(w, x):
+    """X @ W as its own node. Backward: dW += X^T G, dX = G W^T."""
+    xv, wv = x.value, w.value
+    return nnet.Node(xv @ wv, parents=((w, lambda g: xv.T @ g), (x, lambda g: g @ wv.T)))
+
+
 def add_bias_reference(x, param):
     """A (1, c) bias row added as its own node."""
     return nnet.Node(
@@ -29,8 +35,19 @@ def relu_reference(x):
 
 def dense_reference(w, b, x, activate):
     """The oracle for ``nnet.dense``: linear, bias and ReLU as three nodes."""
-    y = add_bias_reference(nnet.linear(w, x), b)
+    y = add_bias_reference(linear_reference(w, x), b)
     return relu_reference(y) if activate else y
+
+
+def gcn_reference(a_hat, x, w):
+    """The oracle for ``nnet.gcn_layer``: linear, constant matmul and ReLU as
+    three nodes."""
+    h = linear_reference(w, x)
+    return relu_reference(nnet.Node(a_hat @ h.value, parents=((h, lambda g: a_hat.T @ g),)))
+
+
+def worst_gradient_error(loss_fn, params):
+    return max(nnet.gradient_check_blocks(loss_fn, params, eps=1e-6).values())
 
 
 # Every float64, -0.0, NaN, infinities and subnormals included.
@@ -62,27 +79,34 @@ def adam_reference(state, params):
 
 
 class TestLinear:
+    """``gcn_layer`` over the identity graph, as the MLP abstraction runs it:
+    each row's linear map X @ W, then ReLU."""
+
+    @staticmethod
+    def layer(w, x):
+        return nnet.gcn_layer(np.eye(len(x.value)), x, w)
+
     def test_identity_weight(self):
         w = make_param("w", np.eye(3))
         x = nnet.constant(np.random.default_rng(0).normal(size=(4, 3)))
-        np.testing.assert_array_equal(nnet.linear(w, x).value, x.value)
+        np.testing.assert_array_equal(self.layer(w, x).value, np.maximum(x.value, 0.0))
 
     def test_hand_product(self):
         w = make_param("w", [[1.0], [1.0]])
-        out = nnet.linear(w, nnet.constant([[1.0, 2.0]]))
+        out = self.layer(w, nnet.constant([[1.0, 2.0]]))
         np.testing.assert_array_equal(out.value, [[3.0]])
 
     def test_gradient_of_sum(self):
-        w = make_param("w", [[0.0], [0.0]])
+        w = make_param("w", [[1.0], [1.0]])
         x = nnet.constant([[1.0, 2.0]])
-        out = nnet.linear(w, x)
+        out = self.layer(w, x)
         nnet.backward(out)
         np.testing.assert_array_equal(w.grad, [[1.0], [2.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
         w = make_param("w", np.zeros((3, 2)))
         with pytest.raises(nnet.ShapeError, match=r"\(1, 2\).*\(3, 2\)"):
-            nnet.linear(w, nnet.constant(np.zeros((1, 2))))
+            self.layer(w, nnet.constant(np.zeros((1, 2))))
 
 
 class TestDense:
@@ -146,39 +170,35 @@ class TestDense:
 
 
 class TestRelu:
+    """The ReLU rule that ``dense`` and ``gcn_layer`` apply in place; their
+    gradient masks are compared with ``relu_reference`` in TestDense and
+    TestGcnLayer."""
+
+    @staticmethod
+    def relu(x):
+        y = np.array(x, dtype=np.float64)
+        nnet._relu(y)
+        return y
+
     def test_clamps_negatives(self):
-        out = nnet.relu(nnet.constant([[-1.0, 2.0]]))
-        np.testing.assert_array_equal(out.value, [[0.0, 2.0]])
+        np.testing.assert_array_equal(self.relu([[-1.0, 2.0]]), [[0.0, 2.0]])
 
     def test_positive_input_unchanged(self):
         x = np.abs(np.random.default_rng(1).normal(size=(3, 3))) + 0.1
-        np.testing.assert_array_equal(nnet.relu(nnet.constant(x)).value, x)
+        np.testing.assert_array_equal(self.relu(x), x)
 
     def test_subgradient_at_zero_is_zero(self):
         x = nnet.constant([[0.0, 1.0]])
-        out = nnet.relu(x)
+        out = nnet.gcn_layer(np.eye(1), x, make_param("w", np.eye(2)))
         nnet.backward(out)
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0]])
 
-    @given(
-        arrays(np.float64, (4, 3), elements=ANY_FLOAT),
-        arrays(np.float64, (4, 3), elements=ANY_FLOAT),
-    )
+    @given(arrays(np.float64, (4, 3), elements=ANY_FLOAT))
     @settings(max_examples=200, deadline=None)
-    def test_any_floats_match_the_reference_bit_for_bit(self, x, upstream):
-        runs = []
-        before = x.copy()
-        with np.errstate(all="ignore"):
-            for layer in (nnet.relu, relu_reference):
-                xn = nnet.constant(x)
-                y = layer(xn)
-                root = nnet.Node(np.float64(0.0), parents=((y, lambda g: g * upstream),))
-                nnet.backward(root)
-                runs.append((y.value, xn.grad))
-        for got, want in zip(*runs):
-            np.testing.assert_array_equal(bits(got), bits(want))
-        assert not np.signbit(runs[0][0]).any()
-        np.testing.assert_array_equal(bits(x), bits(before))
+    def test_any_floats_match_the_reference_bit_for_bit(self, x):
+        got = self.relu(x)
+        np.testing.assert_array_equal(bits(got), bits(relu_reference(nnet.constant(x)).value))
+        assert not np.signbit(got).any()
 
 
 class TestNoGrad:
@@ -188,15 +208,12 @@ class TestNoGrad:
         w, b = make_param("w", np.ones((3, 2))), make_param("b", np.zeros((1, 2)))
         return [
             nnet.dense(w, b, x, True),
-            nnet.linear(w, x),
-            nnet.relu(x),
-            nnet.matmul_const(np.eye(4), x),
             nnet.maxpool_rows(x),
             nnet.segment_maxpool(x, np.array([0, 2, 4])),
             nnet.concat_cols([x, x]),
             nnet.gather_rows(x, [0, 0, 3]),
             nnet.gcn_layer(np.eye(4), x, make_param("g", np.ones((3, 3)))),
-            nnet.cross_entropy(nnet.linear(w, nnet.constant(x.value[:1])), 1),
+            nnet.cross_entropy(nnet.dense(w, b, nnet.constant(x.value[:1]), False), 1),
         ]
 
     def test_nodes_keep_no_parents(self):
@@ -213,14 +230,14 @@ class TestNoGrad:
         with nnet.no_grad():
             with nnet.no_grad():
                 pass
-            assert nnet.relu(x).parents == ()
-        assert nnet.relu(x).parents
+            assert nnet.maxpool_rows(x).parents == ()
+        assert nnet.maxpool_rows(x).parents
 
     def test_state_is_restored_when_the_block_raises(self):
         with pytest.raises(RuntimeError, match="inside"):
             with nnet.no_grad():
                 raise RuntimeError("inside")
-        assert nnet.relu(nnet.constant([[1.0]])).parents
+        assert nnet.maxpool_rows(nnet.constant([[1.0]])).parents
 
 
 class TestGatherRows:
@@ -310,6 +327,51 @@ class TestMaxpool:
 
 
 class TestGcnLayer:
+    def _inputs(self):
+        """A renormalized-style adjacency, inputs whose products hold exact
+        zeros, and an upstream gradient with zeros of both signs."""
+        rng = np.random.default_rng(15)
+        a_hat = np.abs(rng.normal(size=(5, 5)))
+        a_hat[0] = 0.0
+        x = rng.normal(size=(5, 3))
+        x[1] = [-0.0, 0.0, -0.0]
+        w = rng.normal(size=(3, 4))
+        upstream = rng.normal(size=(5, 4))
+        upstream[2] = [0.0, -0.0, 0.0, -0.0]
+        return a_hat, x, w, upstream
+
+    @staticmethod
+    def _fused_and_chained(a_hat, x, w, upstream):
+        """(value, w and x gradients) pairs from ``gcn_layer`` and its oracle."""
+        runs = []
+        for layer in (nnet.gcn_layer, gcn_reference):
+            wp, xn = make_param("w", w), nnet.constant(x)
+            y = layer(a_hat, xn, wp)
+            root = nnet.Node(np.float64(0.0), parents=((y, lambda g: g * upstream),))
+            nnet.backward(root)
+            runs.append((y.value, wp.grad, xn.grad))
+        return zip(*runs)
+
+    def test_matches_the_three_node_chain_bitwise(self):
+        a_hat, x, w, upstream = self._inputs()
+        pre = a_hat @ (x @ w)
+        assert (pre[0] == 0.0).all() and (pre > 0).any() and (pre < 0).any()
+        for fused, chained in self._fused_and_chained(a_hat, x, w, upstream):
+            np.testing.assert_array_equal(bits(fused), bits(chained))
+
+    @given(
+        arrays(np.float64, (3, 3), elements=ANY_FLOAT),
+        arrays(np.float64, (3, 2), elements=ANY_FLOAT),
+        arrays(np.float64, (2, 4), elements=ANY_FLOAT),
+        arrays(np.float64, (3, 4), elements=ANY_FLOAT),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_floats_match_the_reference_bit_for_bit(self, a_hat, x, w, upstream):
+        with np.errstate(all="ignore"):
+            pairs = list(self._fused_and_chained(a_hat, x, w, upstream))
+        for fused, chained in pairs:
+            np.testing.assert_array_equal(bits(fused), bits(chained))
+
     def test_identity_adjacency_identity_weight(self):
         x = np.random.default_rng(2).normal(size=(4, 4))
         out = nnet.gcn_layer(np.eye(4), nnet.constant(x), make_param("w", np.eye(4)))
@@ -333,8 +395,7 @@ class TestGcnLayer:
             node = loss_fn()
             return nnet.Node(node.value.sum(), parents=((node, lambda g: np.full_like(node.value, g)),))
 
-        err = nnet.gradient_check(scalar_loss, [w], eps=1e-6)
-        assert err <= 1e-5
+        assert worst_gradient_error(scalar_loss, [w]) <= 1e-5
 
     def test_shape_mismatch(self):
         with pytest.raises(nnet.ShapeError):
@@ -403,7 +464,7 @@ class TestOptimizer:
             state = nnet.OptimizerState()
             for _ in range(3):
                 x = nnet.constant(rng.normal(size=(2, 3)))
-                nnet.backward(nnet.maxpool_rows(nnet.relu(nnet.linear(p, x))))
+                nnet.backward(nnet.maxpool_rows(nnet.gcn_layer(np.eye(2), x, p)))
                 nnet.optimizer_step(state, params)
             return p.value
 
@@ -454,10 +515,10 @@ class TestGradientCheck:
         x = rng.normal(size=(4, 3))
 
         def loss_fn():
-            out = nnet.linear(w, nnet.constant(x))
+            out = linear_reference(w, nnet.constant(x))
             return nnet.Node(out.value.sum(), parents=((out, lambda g: np.full_like(out.value, g)),))
 
-        assert nnet.gradient_check(loss_fn, [w], eps=1e-6) <= 1e-9
+        assert worst_gradient_error(loss_fn, [w]) <= 1e-9
 
     def test_two_layer_mlp(self):
         rng = np.random.default_rng(9)
@@ -467,7 +528,7 @@ class TestGradientCheck:
         def loss_fn():
             return nnet.cross_entropy(nnet.maxpool_rows(nnet.mlp(params, nnet.constant(x))), 1)
 
-        assert nnet.gradient_check(loss_fn, params, eps=1e-6) <= 1e-5
+        assert worst_gradient_error(loss_fn, params) <= 1e-5
 
     def test_gather_and_concat_ops(self):
         rng = np.random.default_rng(10)
@@ -476,11 +537,11 @@ class TestGradientCheck:
         idx = np.array([0, 2, 2, 5, 1])
 
         def loss_fn():
-            h = nnet.gather_rows(nnet.linear(w, nnet.constant(x)), idx)
+            h = nnet.gather_rows(linear_reference(w, nnet.constant(x)), idx)
             h = nnet.concat_cols([h, h])
             return nnet.cross_entropy(nnet.maxpool_rows(h), 3)
 
-        assert nnet.gradient_check(loss_fn, [w], eps=1e-6) <= 1e-5
+        assert worst_gradient_error(loss_fn, [w]) <= 1e-5
 
 
 class TestMlp:
