@@ -238,6 +238,9 @@ def _checkpoint_and_test_split(
 
 
 def cmd_train(cfg: ExperimentConfig, args) -> int:
+    ckpt = Path(args.checkpoint) if args.checkpoint else Path(cfg.out_dir) / "model.ckpt"
+    if ckpt.is_dir() or not (ckpt.parent.is_dir() or ckpt.parent == Path(cfg.out_dir)):
+        raise ConfigError(f"checkpoint {ckpt}: not a file path in an existing directory")
     split = _load_dataset(cfg, args.config)
     _check_dataset(split, cfg.model)
     out = _prepare_out(cfg)
@@ -271,7 +274,6 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
                 )
             else:
                 print(f"epoch {epoch}: train_acc={metrics.accuracy:.4f} train_loss={metrics.mean_loss:.4f}")
-    ckpt = Path(args.checkpoint) if args.checkpoint else out / "model.ckpt"
     model_mod.save_model(net, ckpt)
     print(f"checkpoint written to {ckpt}")
     return EXIT_OK
@@ -375,8 +377,9 @@ def cmd_robustness(cfg: ExperimentConfig, args) -> int:
 
 def cmd_export_graphs(cfg: ExperimentConfig, args) -> int:
     net = _model_from_args(cfg, args)
-    pts = geom.normalize_unit_sphere(data.read_xyz(args.cloud))
-    _check_cloud(str(args.cloud), pts, net.config)
+    cloud = data.read_xyz(args.cloud)
+    _check_cloud(str(args.cloud), cloud, net.config)
+    pts = geom.normalize_unit_sphere(cloud)
     out = _prepare_out(cfg)
     for desc in model_mod.level_descriptors(net, pts):
         weights = model_mod.level_graph(net.config, desc)

@@ -73,13 +73,13 @@ def canonical_order(points: np.ndarray) -> np.ndarray:
     equally far (an FPS pick, a patch member, a graph neighbor), the one
     earlier in this order wins. Code applies the rule by laying the points
     out in this order, where ``np.argmax`` takes the first maximum and a
-    stable ``np.argsort`` keeps equal distances in position order, so ties
-    are settled by position and never by a per-anchor pass. The order
+    sort by (distance, position) keeps equal distances in position order, so
+    ties are settled by position and never by a per-anchor pass. The order
     depends on coordinates alone except among exact duplicates, which are
     interchangeable, so results follow permutations of the input rows
-    exactly. It is taken per point set, not once per cloud: hierarchy levels
-    keep their anchors in pick order. ``sorted_candidates`` spells the rule
-    out one anchor at a time and serves as its reference.
+    exactly. It is taken once per point set, not once per cloud: hierarchy
+    levels keep their anchors in pick order. ``sorted_candidates`` spells
+    the rule out one anchor at a time and serves as its reference.
     """
     return np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
 
@@ -112,20 +112,21 @@ def squared_distances(points) -> np.ndarray:
 
 
 def farthest_point_sampling(
-    points, m: int, block: np.ndarray | None = None
+    points, m: int, order: np.ndarray, block: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Greedy max-min sampling of ``m`` point indices.
 
     The first pick is the point farthest from the centroid; each later pick
     maximizes the minimum distance to the already-selected set, with ties
-    broken by ``canonical_order``. The loop runs over the points in that
-    order, centroid included, so the output follows permutations of the
-    input rows exactly. All decisions are distance-based, so the output is
-    invariant to rotations wherever no exact tie decides a pick.
+    broken by ``order``, the points' ``canonical_order``. The loop runs over
+    the points in that order, centroid included, so the output follows
+    permutations of the input rows exactly. All decisions are distance-based,
+    so it is rotation-invariant wherever no exact tie decides a pick.
 
     Returns the picks, their (m, N) squared-distance rows with columns in
-    canonical order, and that order: ``rows[i, c]`` is the squared distance
-    from ``points[picks[i]]`` to ``points[order[c]]``. Given ``block``, the
+    canonical order, and the picks' positions ``pos`` in that order
+    (``picks == order[pos]``): ``rows[i, c]`` is the squared distance from
+    ``points[picks[i]]`` to ``points[order[c]]``. Given ``block``, the
     points' own (N, N) squared distances in input order, the rows are read
     from it and no distance between two points is computed.
     """
@@ -135,19 +136,18 @@ def farthest_point_sampling(
         raise ValueError(f"sample count m={m} out of range [1, {n}]")
     if block is not None and block.shape != (n, n):
         raise ValueError(f"distance block has shape {block.shape}, expected {(n, n)}")
-    order = canonical_order(pts)
     cp = pts[order]
     planar = np.ascontiguousarray(cp.T)
     diff = planar - cp.mean(axis=0)[:, None]
     current = int(_sum_of_squares(diff).argmax())
-    picks = np.empty(m, dtype=np.int64)
+    pos = np.empty(m, dtype=np.int64)
     rows = np.empty((m, n))
     min_d2 = np.full(n, np.inf)
     # One subtraction per coordinate: broadcasting a (3, 1) column over the
     # planar array costs several times more per call.
     coords = tuple(zip(planar, diff))
     for i, row in enumerate(rows):
-        picks[i] = current
+        pos[i] = current
         if block is None:
             for axis, delta in coords:
                 np.subtract(axis, axis[current], out=delta)
@@ -157,7 +157,7 @@ def farthest_point_sampling(
         np.minimum(min_d2, row, out=min_d2)
         min_d2[current] = -np.inf
         current = int(min_d2.argmax())
-    return order[picks], rows, order
+    return order[pos], rows, pos
 
 
 def nearest_candidates(d2: np.ndarray, count: int) -> np.ndarray:
@@ -172,9 +172,9 @@ def nearest_candidates(d2: np.ndarray, count: int) -> np.ndarray:
     every candidate at or below the cut distance is ranked again.
     """
     rows = np.arange(len(d2))[:, None]
-    part = np.sort(np.argpartition(d2, count, axis=1)[:, : count + 1], axis=1)
+    part = np.argpartition(d2, count, axis=1)[:, : count + 1]
     part_d2 = d2[rows, part]
-    sub = np.argsort(part_d2, axis=1, kind="stable")
+    sub = np.lexsort((part, part_d2), axis=-1)
     out = part[rows, sub[:, :count]]
     cut = part_d2[rows, sub[:, count - 1 :]]
     redo = np.flatnonzero(cut[:, 0] == cut[:, 1])

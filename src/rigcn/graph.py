@@ -12,7 +12,7 @@ class DegenerateGraphError(ValueError):
     """Raised when a point set is too small to carry a graph."""
 
 
-def build_knn_graph(points, d2: np.ndarray, khat: int) -> np.ndarray:
+def build_knn_graph(points, d2: np.ndarray, khat: int, order: np.ndarray) -> np.ndarray:
     """The (N, N) weights of a k-NN graph: directed ``khat``-NN edges with
     Gaussian-smoothed distance weights, symmetrized by taking the larger
     direction, zero on the diagonal.
@@ -22,7 +22,7 @@ def build_knn_graph(points, d2: np.ndarray, khat: int) -> np.ndarray:
     kernel bandwidth is the mean of all selected neighbor distances, so
     weights stay scale-stable across levels. The construction uses distances
     only and is therefore rotation-invariant; distance ties are broken by
-    ``geom.canonical_order``.
+    ``order``, the points' ``geom.canonical_order``.
     """
     pts = geom.as_cloud(points)
     n = len(pts)
@@ -33,7 +33,6 @@ def build_knn_graph(points, d2: np.ndarray, khat: int) -> np.ndarray:
     if not 1 <= khat < n:
         raise ValueError(f"khat={khat} must be in [1, {n - 1}] for {n} nodes")
 
-    order = geom.canonical_order(pts)
     d2 = d2[:, order]
     d2[order, np.arange(n)] = np.inf
     nbrs = geom.nearest_candidates(d2, khat)

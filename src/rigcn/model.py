@@ -131,12 +131,13 @@ def _typed(tp, value, where: str):
 @dataclass
 class DescriptorSet:
     """Representative points of one level with their reused principal axes,
-    per-point feature rows (the level's graph signal) and squared distances
-    between the points, ``block[i, j]`` from point i to point j.
+    per-point feature rows (the level's graph signal), squared distances
+    between the points, ``block[i, j]`` from point i to point j, and their
+    ``geom.canonical_order``.
 
     The block is a block of the rows the level's sampling computed; the
-    next level's sampling and the level's graph read it instead of
-    computing distances again.
+    next level's sampling and the level's graph read it and the order
+    instead of computing distances or sorting the points again.
     """
 
     level: int
@@ -144,6 +145,7 @@ class DescriptorSet:
     axes: np.ndarray
     features: nnet.Node
     block: np.ndarray
+    order: np.ndarray
 
 
 class RiGcnModel:
@@ -188,7 +190,11 @@ def save_model(model: RiGcnModel, path) -> None:
 
 def load_model(path) -> RiGcnModel:
     config_dict, values = nnet.load_checkpoint(path)
-    model = RiGcnModel(from_dict(RiGcnConfig, config_dict, f"{path}: config"))
+    config = from_dict(RiGcnConfig, config_dict, f"{path}: config")
+    try:
+        model = RiGcnModel(config)
+    except ConfigError as e:  # the config parses but fails validate()
+        raise ConfigError(f"{path}: config: {e}") from None
     for p in model.parameters():
         if p.name not in values:
             raise ValueError(f"checkpoint is missing parameter {p.name!r}")
@@ -211,20 +217,6 @@ def draw_interval(bounds: tuple[int, int], count: int, rng: np.random.Generator 
     return np.full(count, (lo + hi) // 2)
 
 
-def _sample(
-    points: np.ndarray, m: int, block: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """FPS anchors of a level with everything its patches and its graph
-    read: (anchor indices, their distance rows with columns in canonical
-    order, that order, the anchors' positions in it, the anchors' own
-    distance block)."""
-    sel, d2, order = geom.farthest_point_sampling(points, m, block)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    pos = rank[sel]
-    return sel, d2, order, pos, d2[:, pos]
-
-
 def _gather_patches(
     d2: np.ndarray,
     order: np.ndarray,
@@ -235,9 +227,9 @@ def _gather_patches(
     """Member indices of many anchors' patches, one patch set per dilation.
 
     ``d2`` holds each anchor's squared distances to every point, columns in
-    the canonical order ``order``, as ``geom.farthest_point_sampling``
-    returns them; ``pos`` is each anchor's column, and these self entries
-    are set to inf in place. Each item of ``dilations`` is a per-anchor
+    the canonical order ``order``, and ``pos`` is each anchor's column, as
+    ``geom.farthest_point_sampling`` returns them; these self entries are
+    set to inf in place. Each item of ``dilations`` is a per-anchor
     array or a scalar d. Returns (offsets, one flat member array per
     dilation), where the flat arrays index the points in input order and
     patch i of every set spans ``offsets[i]:offsets[i + 1]``. Patch i holds
@@ -297,7 +289,9 @@ def extract_descriptors(
     m0 = cfg.level_sizes[0]
     if len(points) < m0:
         raise ConfigError(f"cloud has {len(points)} points but level 0 needs {m0}")
-    sel, d2, order, pos, block = _sample(points, m0, None)
+    order = geom.canonical_order(points)
+    sel, d2, pos = geom.farthest_point_sampling(points, m0, order)
+    block = d2[:, pos]
     anchors = points[sel]
     ks = draw_interval(cfg.k_range, m0, rng if cfg.stochastic_k else None)
     ds = draw_interval(cfg.d_range, m0, rng if cfg.stochastic_d else None)
@@ -311,7 +305,7 @@ def extract_descriptors(
     h1 = nnet.segment_maxpool(nnet.mlp(model.g1[0], nnet.constant(proj1)), off)
     hd = nnet.segment_maxpool(nnet.mlp(model.g2, nnet.constant(projd)), off)
     features = nnet.mlp(model.f[0], nnet.concat_cols([h1, hd]))
-    return DescriptorSet(level=0, points=anchors, axes=axes, features=features, block=block)
+    return DescriptorSet(0, anchors, axes, features, block, geom.canonical_order(anchors))
 
 
 def extend_descriptors(
@@ -332,21 +326,22 @@ def extend_descriptors(
         raise ConfigError(
             f"level {level} size {m_l} exceeds previous level size {len(prev.points)}"
         )
-    sel, d2, order, pos, block = _sample(prev.points, m_l, prev.block)
+    sel, d2, pos = geom.farthest_point_sampling(prev.points, m_l, prev.order, prev.block)
+    block = d2[:, pos]
     anchors = prev.points[sel]
     axes = prev.axes[sel]
     ks = draw_interval(cfg.k_range, m_l, rng if cfg.stochastic_k else None)
     # Dilations are drawn and not used: the draw keeps the generator's stream,
     # and so every stochastic forward and trained checkpoint, as it has been.
     draw_interval(cfg.d_range, m_l, rng if cfg.stochastic_d else None)
-    off, (flat,) = _gather_patches(d2, order, pos, ks, (1,))
+    off, (flat,) = _gather_patches(d2, prev.order, pos, ks, (1,))
     proj = _project_segments(prev.points, flat, off, anchors, axes)
     h_coord = nnet.segment_maxpool(nnet.mlp(model.g1[level], nnet.constant(proj)), off)
     h_desc = nnet.segment_maxpool(
         nnet.mlp(model.h[level], nnet.gather_rows(prev.features, flat)), off
     )
     features = nnet.mlp(model.f[level], nnet.concat_cols([h_coord, h_desc]))
-    return DescriptorSet(level=level, points=anchors, axes=axes, features=features, block=block)
+    return DescriptorSet(level, anchors, axes, features, block, geom.canonical_order(anchors))
 
 
 def level_graph(
@@ -358,7 +353,7 @@ def level_graph(
     top = len(desc.points) - 1
     bounds = (min(config.khat_range[0], top), min(config.khat_range[1], top))
     khat = int(draw_interval(bounds, 1, rng if config.stochastic_khat else None)[0])
-    return graph.build_knn_graph(desc.points, desc.block, khat)
+    return graph.build_knn_graph(desc.points, desc.block, khat, desc.order)
 
 
 def abstract_level(

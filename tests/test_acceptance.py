@@ -17,7 +17,8 @@ import pytest
 
 from rigcn import cli, data, geom, graph, model, nnet
 
-from test_geom import brute_force_fps
+from conftest import fps
+from test_graph import knn_graph
 
 pytestmark = pytest.mark.slow
 
@@ -152,7 +153,7 @@ class TestCriterion5FpsApproximation:
             if m > n or m < 2:
                 continue
             pts = rng.normal(size=(n, 3))
-            sel, _, _ = geom.farthest_point_sampling(pts, m)
+            sel, _, _ = fps(pts, m)
             dist = lambda i, j: float(np.linalg.norm(pts[i] - pts[j]))
             fps_disp = min(dist(i, j) for i, j in itertools.combinations(sel.tolist(), 2))
             opt = max(
@@ -175,7 +176,7 @@ class TestCriterion6RenormalizedAdjacency:
             n = int(rng.integers(2, 24))
             pts = rng.normal(size=(n, 3))
             khat = int(rng.integers(1, n))
-            a_hat = graph.renormalize(graph.build_knn_graph(pts, geom.squared_distances(pts), khat))
+            a_hat = graph.renormalize(knn_graph(pts, khat))
             worst_asym = max(worst_asym, float(np.abs(a_hat - a_hat.T).max()))
             worst_radius = max(worst_radius, float(np.abs(np.linalg.eigvalsh(a_hat)).max()))
         edgeless = graph.renormalize(np.zeros((5, 5)))

@@ -162,6 +162,21 @@ class TestTrain:
         for a, b in zip(loaded.parameters(), fresh.parameters()):
             np.testing.assert_array_equal(a.value, b.value)
 
+    @pytest.mark.parametrize("where", ["missing_parent", "directory"])
+    def test_unusable_checkpoint_path_exits_2_before_writing(self, tmp_path, capsys, where):
+        (tmp_path / "dir").mkdir()
+        ckpt = {"missing_parent": tmp_path / "nope" / "m.ckpt", "directory": tmp_path / "dir"}[where]
+        cfg = write_config(tmp_path)
+        assert cli.main(["train", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 2
+        assert str(ckpt) in capsys.readouterr().err
+        assert not (tmp_path / "out" / "config.json").exists()
+
+    def test_checkpoint_may_go_into_the_new_output_directory(self, tmp_path):
+        cfg = write_config(tmp_path)
+        ckpt = tmp_path / "out" / "m.ckpt"
+        assert cli.main(["train", "--config", str(cfg), "--epochs", "0", "--checkpoint", str(ckpt)]) == 0
+        assert model.load_model(ckpt).config.level_sizes == (16, 6)
+
     def test_global_transform_ablation_runs(self, tmp_path):
         cfg = write_config(tmp_path)
         code = cli.main(
@@ -400,8 +415,10 @@ class TestEvaluate:
             # Headers once held null for a config that left the sizes out;
             # such a checkpoint is rejected, never read as the default.
             lambda header: header["config"].update(level_sizes=None),
+            # Well typed, but fails RiGcnConfig.validate.
+            lambda header: header["config"].update(levels=3),
         ],
-        ids=["without_params", "scalar_shape", "null_level_sizes"],
+        ids=["without_params", "scalar_shape", "null_level_sizes", "levels_without_sizes"],
     )
     def test_malformed_checkpoint_header_exits_2(self, trained, tmp_path, capsys, edit):
         _, ckpt, _ = trained
@@ -601,6 +618,19 @@ class TestExportGraphs:
         assert "short.xyz" in capsys.readouterr().err
         assert not (out / "config.json").exists()
 
+    def test_non_finite_cloud_exits_2_naming_the_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        cloud = np.random.default_rng(2).normal(size=(64, 3))
+        cloud[5, 1] = np.nan
+        cloud_path = tmp_path / "holes.xyz"
+        data.write_xyz(cloud, cloud_path)
+        out = tmp_path / "graphs"
+        args = ["export-graphs", "--config", str(cfg), "--cloud", str(cloud_path), "--out", str(out)]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert str(cloud_path) in err and "non-finite" in err
+        assert not out.exists()
+
     def test_cloud_that_is_a_directory_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "graphs"
@@ -745,6 +775,35 @@ class TestBenchmarkHooks:
         spans = load_perfbench("spans", monkeypatch)
         for module, attr, _, _ in spans.COMPUTE_TARGETS + spans.DATA_TARGETS:
             assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+    def test_traced_ops_count_every_layer(self, monkeypatch):
+        # One evaluate op and one training op with every compute span
+        # installed, as a traced benchmark run makes them.
+        spans = load_perfbench("spans", monkeypatch)
+        workloads = load_perfbench("workloads", monkeypatch)
+        cfg = model.RiGcnConfig(**workloads.DESK_CONFIG)
+        seeds = workloads.seeds(workloads.WORKLOADS["infer_desk"], 1)
+        _, clouds, labels = workloads.request(workloads.desk_test_pool(seeds["data"], None), 0)
+        net = workloads.desk_model(seeds["model_seed"])
+        opt = nnet.OptimizerState(learning_rate=workloads.LEARNING_RATE)
+        recorder = spans.Recorder("test")
+        with recorder.installed(spans.COMPUTE_TARGETS):
+            workloads.infer_op(net, clouds, labels, seeds["ops"])
+            eval_counts = dict(recorder.counts)
+            workloads.train_op(net, opt, clouds, labels, seeds["ops"])
+        n = len(clouds)
+        per_cloud = {
+            "fps_points": cfg.num_points + sum(cfg.level_sizes[:-1]),
+            "anchors": 3 * cfg.levels,  # len() of each call's result
+            "lrf_frames": cfg.level_sizes[0],
+            "graph_nodes": sum(cfg.level_sizes),
+        }
+        # Inference builds no graph, so each forward is one DAG node.
+        assert eval_counts == {**{k: n * v for k, v in per_cloud.items()}, "dag_nodes": n}
+        # Training keeps the 42-node graph of a desk forward.
+        assert recorder.counts == {**{k: 2 * n * v for k, v in per_cloud.items()}, "dag_nodes": n * (1 + 42)}
+        names = {span[0] for span in recorder.spans}
+        assert {"model.forward", "geom.fps", "graph.build", "nnet.backward"} <= names
 
     def test_desk_config_validates(self, monkeypatch):
         workloads = load_perfbench("workloads", monkeypatch)

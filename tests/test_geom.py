@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rigcn import geom
 
-from conftest import random_cloud
+from conftest import fps, random_cloud
 
 
 class TestNormalizeUnitSphere:
@@ -63,26 +63,35 @@ def brute_force_fps(points: np.ndarray, m: int) -> list[int]:
 
 class TestFarthestPointSampling:
     def test_m_equals_n_selects_everything(self, cloud):
-        sel, _, _ = geom.farthest_point_sampling(cloud, len(cloud))
+        sel, _, _ = fps(cloud, len(cloud))
         assert sorted(sel) == list(range(len(cloud)))
 
     def test_single_pick_is_farthest_from_centroid(self):
         pts = [[0.0, 0, 0], [3.0, 0, 0], [1.0, 0, 0]]
-        assert geom.farthest_point_sampling(pts, 1)[0].tolist() == [1]
+        assert fps(pts, 1)[0].tolist() == [1]
 
     def test_collinear_hand_trace(self):
         # x = 0..9; centroid tie between 0 and 9 resolved lexicographically,
         # then 9, then 4 beats 5 on the tie at distance 4.
         pts = [[float(x), 0.0, 0.0] for x in range(10)]
-        sel, _, _ = geom.farthest_point_sampling(pts, 3)
+        sel, _, _ = fps(pts, 3)
         assert sel.tolist() == [0, 9, 4]
         assert sel.tolist() == brute_force_fps(pts, 3)[:3]
 
+    def test_ties_follow_the_given_order(self):
+        # The points are not sorted again: with the order reversed, the
+        # centroid tie between x = 0 and x = 9 and the later tie between 4
+        # and 5 go the other way.
+        pts = np.array([[float(x), 0.0, 0.0] for x in range(10)])
+        sel, _, pos = geom.farthest_point_sampling(pts, 3, np.arange(10)[::-1])
+        assert sel.tolist() == [9, 0, 5]
+        assert pos.tolist() == [0, 9, 4]
+
     def test_m_out_of_range(self, cloud):
         with pytest.raises(ValueError):
-            geom.farthest_point_sampling(cloud, len(cloud) + 1)
+            fps(cloud, len(cloud) + 1)
         with pytest.raises(ValueError):
-            geom.farthest_point_sampling(cloud, 0)
+            fps(cloud, 0)
 
     @given(st.integers(0, 500), st.integers(1, 16))
     @settings(max_examples=40, deadline=None)
@@ -90,7 +99,7 @@ class TestFarthestPointSampling:
         # Dyadic coordinates keep the centroid and every distance exact in
         # both computations, so no rounding near-tie can flip a pick.
         pts = np.random.default_rng(seed).integers(-(2**20), 2**20 + 1, size=(16, 3)) / 2.0**20
-        sel, _, _ = geom.farthest_point_sampling(pts, m)
+        sel, _, _ = fps(pts, m)
         assert sel.tolist() == brute_force_fps(pts, m)
 
     @given(
@@ -115,21 +124,24 @@ class TestFarthestPointSampling:
         else:
             pts = rng.integers(-6, 7, size=(n, 1)) * np.array([[0.25, 0.5, -0.75]]) + 0.5
         m = int(rng.integers(1, n + 1))
-        sel, rows, order = geom.farthest_point_sampling(pts, m)
+        sel, rows, pos = fps(pts, m)
         assert sel.tolist() == brute_force_fps(pts, m)
         # One distance definition: the rows are the helper's, bitwise, and
         # sampling from the helper's block repeats the picks and the rows.
         block = geom.squared_distances(pts)
-        np.testing.assert_array_equal(rows, block[sel][:, order])
-        from_block = geom.farthest_point_sampling(pts, m, block)
-        for got, want in zip(from_block, (sel, rows, order)):
+        np.testing.assert_array_equal(rows, block[sel][:, geom.canonical_order(pts)])
+        from_block = fps(pts, m, block)
+        for got, want in zip(from_block, (sel, rows, pos)):
             np.testing.assert_array_equal(got, want)
 
     def test_distance_rows(self):
         pts = random_cloud(4, 30)
-        sel, d2, order = geom.farthest_point_sampling(pts, 7)
+        order = geom.canonical_order(pts)
+        sel, d2, pos = geom.farthest_point_sampling(pts, 7, order)
         assert d2.shape == (7, 30)
-        np.testing.assert_array_equal(order, geom.canonical_order(pts))
+        np.testing.assert_array_equal(order[pos], sel)
+        # The picks' own block is read at their positions.
+        np.testing.assert_array_equal(d2[:, pos], geom.squared_distances(pts[sel]))
         for row, i in zip(d2, sel):
             diff = pts[order] - pts[i]
             np.testing.assert_array_equal(row, np.einsum("ij,ij->i", diff, diff))
@@ -137,15 +149,15 @@ class TestFarthestPointSampling:
     def test_block_must_match_the_points(self):
         pts = random_cloud(4, 10)
         with pytest.raises(ValueError):
-            geom.farthest_point_sampling(pts, 3, geom.squared_distances(pts[:9]))
+            fps(pts, 3, geom.squared_distances(pts[:9]))
 
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
     def test_rotation_invariance(self, seed):
         pts = random_cloud(seed, 40)
         rot = geom.random_rotation(np.random.default_rng(seed + 1), "so3")
-        a, _, _ = geom.farthest_point_sampling(pts, 10)
-        b, _, _ = geom.farthest_point_sampling(geom.rotate(pts, rot), 10)
+        a, _, _ = fps(pts, 10)
+        b, _, _ = fps(geom.rotate(pts, rot), 10)
         assert a.tolist() == b.tolist()
 
     @given(st.integers(0, 500))
@@ -153,8 +165,8 @@ class TestFarthestPointSampling:
     def test_permutation_invariance(self, seed):
         pts = random_cloud(seed, 30)
         perm = np.random.default_rng(seed + 7).permutation(len(pts))
-        sel, _, _ = geom.farthest_point_sampling(pts, 8)
-        sel_perm, _, _ = geom.farthest_point_sampling(pts[perm], 8)
+        sel, _, _ = fps(pts, 8)
+        sel_perm, _, _ = fps(pts[perm], 8)
         # index i in the permuted cloud refers to original point perm[i]
         assert perm[sel_perm].tolist() == sel.tolist()
 
@@ -166,7 +178,7 @@ class TestFarthestPointSampling:
             if m > n:
                 continue
             pts = rng.normal(size=(n, 3))
-            sel, _, _ = geom.farthest_point_sampling(pts, m)
+            sel, _, _ = fps(pts, m)
             d = lambda i, j: np.linalg.norm(pts[i] - pts[j])
             fps_disp = min(d(i, j) for i, j in itertools.combinations(sel, 2))
             opt = max(

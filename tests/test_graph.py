@@ -9,8 +9,10 @@ from conftest import random_cloud, tiny_config
 
 
 def knn_graph(pts, khat):
-    """The graph weights over a point set, given its distances from the helper."""
-    return graph.build_knn_graph(pts, geom.squared_distances(pts), khat)
+    """The graph weights over a point set, given its distances from the
+    helper and its canonical order."""
+    pts = geom.as_cloud(pts)
+    return graph.build_knn_graph(pts, geom.squared_distances(pts), khat, geom.canonical_order(pts))
 
 
 def dense_renormalize_oracle(weights: np.ndarray) -> np.ndarray:
@@ -95,7 +97,7 @@ def tie_cloud(kind, n=40):
 
 class TestTiesAtTheCut:
     @staticmethod
-    def build(monkeypatch, pts, d2, khat):
+    def build(monkeypatch, pts, khat):
         """Build the graph; return its neighbor lists as point indices, its
         weights, and the distances its ranking saw, columns in input order."""
         seen = []
@@ -107,7 +109,7 @@ class TestTiesAtTheCut:
             return out
 
         monkeypatch.setattr(geom, "nearest_candidates", capture)
-        g = graph.build_knn_graph(pts, d2, khat)
+        g = knn_graph(pts, khat)
         monkeypatch.undo()
         ((ranked_d2, nbrs),) = seen
         order = geom.canonical_order(pts)
@@ -115,7 +117,7 @@ class TestTiesAtTheCut:
 
     def check_lists(self, monkeypatch, pts, khat):
         block = geom.squared_distances(pts)
-        nbrs, weights, ranked_d2 = self.build(monkeypatch, pts, block, khat)
+        nbrs, weights, ranked_d2 = self.build(monkeypatch, pts, khat)
         expected = np.array([geom.sorted_candidates(pts, i)[:khat] for i in range(len(pts))])
         np.testing.assert_array_equal(nbrs, expected)
         support = np.zeros_like(weights, dtype=bool)
@@ -151,7 +153,7 @@ class TestTiesAtTheCut:
         # Around the centre of a 5x5x5 grid, 6, 12 and 8 candidates tie at
         # distances 1, sqrt(2) and sqrt(3); each khat cuts inside one group.
         pts = grid(5, 5, 5, 4)
-        nbrs, _, _ = self.build(monkeypatch, pts, geom.squared_distances(pts), khat)
+        nbrs, _, _ = self.build(monkeypatch, pts, khat)
         centre = int(np.flatnonzero((pts == 2).all(axis=1))[0])
         expected = np.array([geom.sorted_candidates(pts, i)[:khat] for i in range(len(pts))])
         np.testing.assert_array_equal(nbrs[centre], expected[centre])

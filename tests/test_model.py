@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from rigcn import cli, data, geom, graph, model, nnet
 
-from conftest import random_cloud, tiny_config
+from conftest import fps, random_cloud, tiny_config
 from test_geom import dilated_knn
+from test_graph import knn_graph
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,7 +130,7 @@ class TestExtractDescriptors:
         # candidate prefix, duplicate it, and expect bitwise equality
         net = tiny_net(levels=1, level_sizes=(6,), channels=(8,), k_range=(3, 3), d_range=(1, 1))
         pts = random_cloud(3, 64)
-        sel, _, _ = geom.farthest_point_sampling(pts, 6)
+        sel, _, _ = fps(pts, 6)
         used = set(sel.tolist())
         for anchor in sel:
             cand = geom.sorted_candidates(pts, int(anchor))
@@ -178,7 +179,8 @@ class TestExtractDescriptors:
         pts = np.array([[x, y, z] for x in range(4) for y in range(4) for z in range(3)], float)
         pts = np.vstack([pts, pts[17]])
         pts = pts[np.random.default_rng(2).permutation(len(pts))]
-        sel, d2, order, pos, _ = model._sample(pts, 12, None)
+        order = geom.canonical_order(pts)
+        sel, d2, pos = geom.farthest_point_sampling(pts, 12, order)
         ks = np.full(len(sel), k)
         ds = np.full(len(sel), d)
         off1, (flat1, flatd) = model._gather_patches(d2, order, pos, ks, (1, ds))
@@ -237,7 +239,7 @@ class TestExtendDescriptors:
     def test_axes_are_reused_bitwise(self, cloud, tiny_model):
         d0 = model.extract_descriptors(tiny_model, cloud)
         d1 = model.extend_descriptors(tiny_model, d0)
-        sel, _, _ = geom.farthest_point_sampling(d0.points, len(d1.points))
+        sel, _, _ = fps(d0.points, len(d1.points))
         np.testing.assert_array_equal(d1.axes, d0.axes[sel])
         np.testing.assert_array_equal(d1.points, d0.points[sel])
 
@@ -275,6 +277,7 @@ class TestAbstractLevel:
             axes=desc.axes[perm],
             features=nnet.constant(desc.features.value[perm]),
             block=desc.block[np.ix_(perm, perm)],
+            order=geom.canonical_order(desc.points[perm]),
         )
         out_p = model.abstract_level(tiny_model, permuted)
         np.testing.assert_allclose(out.value, out_p.value, atol=1e-12)
@@ -294,7 +297,7 @@ class TestAbstractLevel:
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0]])
         feats = np.array([[2.0], [0.0]])
         w = np.exp(-0.5)
-        a_hat = graph.renormalize(graph.build_knn_graph(pts, geom.squared_distances(pts), 1))
+        a_hat = graph.renormalize(knn_graph(pts, 1))
         expected_gcn = np.maximum(a_hat @ feats, 0.0).max()
         gcn_net = tiny_net(levels=1, level_sizes=(24,), channels=(2,), khat_range=(1, 1))
         mlp_net = tiny_net(
@@ -308,6 +311,7 @@ class TestAbstractLevel:
             axes=np.broadcast_to(np.eye(3), (2, 3, 3)).copy(),
             features=nnet.constant(np.hstack([feats, np.zeros((2, 1))])),
             block=geom.squared_distances(pts),
+            order=geom.canonical_order(pts),
         )
         out_gcn = model.abstract_level(gcn_net, desc).value[0, 0]
         out_mlp = model.abstract_level(mlp_net, desc).value[0, 0]
@@ -323,6 +327,7 @@ class TestAbstractLevel:
             axes=np.eye(3)[None],
             features=nnet.constant(np.zeros((1, 8))),
             block=np.zeros((1, 1)),
+            order=np.zeros(1, dtype=np.int64),
         )
         with pytest.raises(graph.DegenerateGraphError):
             model.abstract_level(tiny_model, desc)
@@ -337,7 +342,7 @@ class TestLevelGraph:
         return net.config, model.level_descriptors(net, random_cloud(1, 64))[index]
 
     def build(self, desc, khat):
-        return graph.build_knn_graph(desc.points, desc.block, khat)
+        return graph.build_knn_graph(desc.points, desc.block, khat, desc.order)
 
     def test_stochastic_khat_is_drawn_from_the_generator(self):
         cfg, desc = self.level(0, khat_range=(2, 8))
@@ -418,6 +423,26 @@ class TestForward:
         ):
             net = tiny_net(levels=levels, level_sizes=sizes, channels=chans)
             assert np.isfinite(model.logits(net, cloud)).all()
+
+    def test_each_point_set_is_sorted_once(self, monkeypatch):
+        # A desk forward holds 4 point sets (the cloud and 3 levels); each
+        # level carries its order to the next level's sampling and its graph.
+        desk = cli.load_experiment_config(ROOT / "configs" / "desk.json").model
+        pts = random_cloud(0, desk.num_points)
+        net = model.RiGcnModel(desk)
+        sorted_sets = []
+        canonical_order = geom.canonical_order
+
+        def count(points):
+            sorted_sets.append(len(points))
+            return canonical_order(points)
+
+        monkeypatch.setattr(geom, "canonical_order", count)
+        model.logits(net, pts)
+        assert sorted_sets == [desk.num_points, *desk.level_sizes]
+        monkeypatch.undo()
+        for desc in model.level_descriptors(net, pts):
+            np.testing.assert_array_equal(desc.order, geom.canonical_order(desc.points))
 
     def test_stochastic_forward_is_seeded(self, cloud, tiny_model):
         a = model.forward(tiny_model, cloud, np.random.default_rng(3)).value
