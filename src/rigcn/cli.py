@@ -104,6 +104,8 @@ def load_experiment_config(path) -> ExperimentConfig:
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if getattr(args, "out", None) is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
     if getattr(args, "deterministic", False):
@@ -379,7 +381,10 @@ def cmd_export_graphs(cfg: ExperimentConfig, args) -> int:
     net = _model_from_args(cfg, args)
     cloud = data.read_xyz(args.cloud)
     _check_cloud(str(args.cloud), cloud, net.config)
-    pts = geom.normalize_unit_sphere(cloud)
+    try:
+        pts = geom.normalize_unit_sphere(cloud)
+    except ValueError as e:
+        raise ConfigError(f"cloud {str(args.cloud)!r}: {e}") from None
     out = _prepare_out(cfg)
     for desc in model_mod.level_descriptors(net, pts):
         weights = model_mod.level_graph(net.config, desc)

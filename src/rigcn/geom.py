@@ -54,15 +54,19 @@ def normalize_unit_sphere(points) -> np.ndarray:
 
     A cloud whose points all coincide collapses to all zeros. Centering is
     done twice so the residual centroid stays at rounding level even for
-    nearly coincident inputs.
+    nearly coincident inputs. Any other cloud whose squared radius is not a
+    finite normal float64 (a radius above about 1e154 or below about
+    1e-154) raises ``ValueError``.
     """
     pts = as_cloud(points)
     if np.all(pts == pts[0]):
         return np.zeros_like(pts)
     centered = pts - pts.mean(axis=0)
     centered -= centered.mean(axis=0)
-    scale = np.sqrt((centered * centered).sum(axis=1).max())
-    return centered / scale
+    radius2 = (centered * centered).sum(axis=1).max()
+    if not np.finfo(np.float64).tiny <= radius2 < np.inf:
+        raise ValueError(f"cloud extent out of range: its squared radius is {radius2}")
+    return centered / np.sqrt(radius2)
 
 
 def canonical_order(points: np.ndarray) -> np.ndarray:

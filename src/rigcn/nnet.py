@@ -2,22 +2,26 @@
 
 A forward pass builds a small DAG of ``Node`` objects; ``backward`` walks it
 in reverse topological order and accumulates gradients into ``Parameter``
-buffers. The layer set is fixed: dense (affine, optionally followed by ReLU)
-and graph convolution (ReLU of a constant matrix times a linear map), each as
-one node, row/segment max pooling, column concatenation, row gathering, and
+buffers. A node's optional ``upstream`` maps its gradient, once, to the
+array each of its vjps receives, so work they share (a ReLU mask,
+``A_hat.T @``) runs once and is freed as soon as they have run. The layer
+set is fixed: dense (affine, optionally followed by ReLU) and graph
+convolution (ReLU of a constant matrix times a linear map), each as one
+node, row/segment max pooling, column concatenation, row gathering, and
 softmax cross-entropy. A ``ParameterSet`` keeps a model's values and
 gradients in two flat buffers, which Adam updates in a few whole-buffer
 passes.
 
 Inside a ``no_grad()`` block the same layer functions run without a graph:
-every ``Node`` keeps no parents, so each intermediate array is freed as soon
-as the next layer has consumed it, and the result cannot be differentiated.
+every ``Node`` keeps no parents and no upstream map, so each intermediate
+array is freed as soon as the next layer has consumed it, and the result
+cannot be differentiated.
 
 ReLU has one rule, used by ``dense`` and ``gcn_layer``: ``max(0, x)`` with
 +0.0 for every input that is not positive (-0.0, NaN and negatives
-included), and a subgradient of 0 at exactly 0. Its backward masks the
-upstream gradient with ``output > 0``, which holds exactly where the input
-was positive, so no caller may change a node's value in place.
+included), and a subgradient of 0 at exactly 0. Its ``upstream`` masks
+the node's gradient with ``output > 0``, which holds exactly where the
+input was positive, so no caller may change a node's value in place.
 """
 
 from __future__ import annotations
@@ -109,15 +113,16 @@ def no_grad():
 class Node:
     """One value in the computation graph of a forward pass."""
 
-    __slots__ = ("value", "grad", "parents")
+    __slots__ = ("value", "grad", "parents", "upstream")
 
-    def __init__(self, value, parents=()):
+    def __init__(self, value, parents=(), upstream=None):
         self.value = value
         self.grad = None
         # parents: tuple of (Node-or-Parameter, vjp) where vjp maps the
-        # upstream gradient to this parent's gradient contribution; empty
-        # under no_grad().
+        # upstream (upstream(grad), or grad when upstream is None) to this
+        # parent's gradient contribution; both are dropped under no_grad().
         self.parents = parents if _grad_enabled else ()
+        self.upstream = upstream if _grad_enabled else None
 
 
 def _topo_order(root: Node) -> list[Node]:
@@ -147,6 +152,8 @@ def backward(root: Node) -> None:
         g = node.grad
         if g is None:
             continue
+        if node.upstream is not None:
+            g = node.upstream(g)
         for target, vjp in node.parents:
             contrib = vjp(g)
             if target.grad is None:
@@ -169,20 +176,6 @@ def _relu(y: np.ndarray) -> None:
     y += 0.0
 
 
-def _once_per_upstream(fn):
-    """``fn`` computed once per upstream gradient: every vjp of a node runs
-    on the same ``g`` object in one backward, so the first call's result is
-    reused by the others."""
-    seen = [None, None]
-
-    def shared(g):
-        if seen[0] is not g:
-            seen[0], seen[1] = g, fn(g)
-        return seen[1]
-
-    return shared
-
-
 def dense(w: Parameter, b: Parameter, x: Node, activate: bool) -> Node:
     """Y = X @ W + b with a (1, c) bias row, then ReLU when ``activate``, as
     one node over one array."""
@@ -195,18 +188,14 @@ def dense(w: Parameter, b: Parameter, x: Node, activate: bool) -> Node:
     y += b.value
     if activate:
         _relu(y)
-        upstream = _once_per_upstream(lambda g: g * (y > 0))
-    else:
-        def upstream(g):
-            return g
-
     return Node(
         y,
         parents=(
-            (w, lambda g: xv.T @ upstream(g)),
-            (b, lambda g: upstream(g).sum(axis=0, keepdims=True)),
-            (x, lambda g: upstream(g) @ wv.T),
+            (w, lambda u: xv.T @ u),
+            (b, lambda u: u.sum(axis=0, keepdims=True)),
+            (x, lambda u: u @ wv.T),
         ),
+        upstream=(lambda g: g * (y > 0)) if activate else None,
     )
 
 
@@ -292,8 +281,8 @@ def gcn_layer(a_hat: np.ndarray, x: Node, w: Parameter) -> Node:
         raise ShapeError(f"gcn_layer: input shape {xv.shape} does not match weight shape {wv.shape}")
     y = a_hat @ (xv @ wv)
     _relu(y)
-    upstream = _once_per_upstream(lambda g: a_hat.T @ (g * (y > 0)))
-    return Node(y, parents=((w, lambda g: xv.T @ upstream(g)), (x, lambda g: upstream(g) @ wv.T)))
+    parents = ((w, lambda u: xv.T @ u), (x, lambda u: u @ wv.T))
+    return Node(y, parents, upstream=lambda g: a_hat.T @ (g * (y > 0)))
 
 
 def softmax_cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:

@@ -394,6 +394,20 @@ class TestEvaluate:
         assert "cube_0004" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "robustness"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exits_2_before_writing(self, trained, tmp_path, capsys, command, source):
+        _, ckpt, _ = trained
+        manifest = manifest_with_edited_cloud(tmp_path, "cube_0000", lambda lines: lines)
+        overrides = {"seed": -1} if source == "config" else {}
+        dataset = {"kind": "manifest", "path": str(manifest)}
+        cfg = write_config(tmp_path, name="cfg2.json", dataset=dataset, **overrides)
+        argv = [command, "--config", str(cfg)] + (["--seed", "-1"] if source == "flag" else [])
+        argv += [] if command == "train" else ["--checkpoint", str(ckpt)]
+        assert cli.main(argv) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_requires_checkpoint(self, trained):
         cfg, _, _ = trained
         assert cli.main(["evaluate", "--config", str(cfg)]) == 2
@@ -629,6 +643,19 @@ class TestExportGraphs:
         assert cli.main(args) == 2
         err = capsys.readouterr().err
         assert str(cloud_path) in err and "non-finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_cloud_beyond_float_range_exits_2_naming_the_file(self, tmp_path, capsys, scale):
+        cfg = write_config(tmp_path)
+        cloud_path = tmp_path / "extreme.xyz"
+        data.write_xyz(np.random.default_rng(2).normal(size=(64, 3)) * scale, cloud_path)
+        out = tmp_path / "graphs"
+        args = ["export-graphs", "--config", str(cfg), "--cloud", str(cloud_path), "--out", str(out)]
+        with np.errstate(over="ignore"):
+            assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert str(cloud_path) in err and "extent out of range" in err
         assert not out.exists()
 
     def test_cloud_that_is_a_directory_exits_2(self, tmp_path, capsys):

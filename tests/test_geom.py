@@ -40,6 +40,17 @@ class TestNormalizeUnitSphere:
         pts = np.tile([[0.3, -0.7, 2.0]], (5, 1))
         np.testing.assert_array_equal(geom.normalize_unit_sphere(pts), np.zeros((5, 3)))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e155, 1e-158, 1e-170])
+    def test_extent_whose_squares_overflow_or_underflow_is_rejected(self, scale):
+        pts = np.random.default_rng(3).normal(size=(64, 3)) * scale
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="extent out of range"):
+            geom.normalize_unit_sphere(pts)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_extreme_extent_inside_the_range_is_normalized(self, scale):
+        out = geom.normalize_unit_sphere(np.random.default_rng(3).normal(size=(64, 3)) * scale)
+        assert abs(np.linalg.norm(out, axis=1).max() - 1.0) < 1e-12
+
 
 def brute_force_fps(points: np.ndarray, m: int) -> list[int]:
     """Reference greedy max-min trace with the documented tie-break."""

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -457,15 +458,19 @@ class TestForward:
         assert max(errors.values()) <= 1e-5
 
 
-def dag_size(root):
+def dag_nodes(root):
     """Nodes reachable from ``root`` through ``parents``."""
-    seen, stack = {id(root)}, [root]
+    seen, stack = {id(root): root}, [root]
     while stack:
         for target, _ in stack.pop().parents:
             if isinstance(target, nnet.Node) and id(target) not in seen:
-                seen.add(id(target))
+                seen[id(target)] = target
                 stack.append(target)
-    return len(seen)
+    return list(seen.values())
+
+
+def dag_size(root):
+    return len(dag_nodes(root))
 
 
 class TestGraphFreeLogits:
@@ -506,6 +511,26 @@ class TestGraphFreeLogits:
         with pytest.raises(model.ConfigError):
             model.logits(tiny_model, random_cloud(0, 16))
         assert dag_size(model.forward(tiny_model, cloud)) == size
+
+
+class TestBackwardMemory:
+    def test_a_desk_backward_keeps_only_the_node_gradients(self):
+        # Beyond the gradients it stores on the nodes, a backward frees what
+        # it makes; what it kept until the graph died would sit beside the
+        # next training forward.
+        desk = cli.load_experiment_config(ROOT / "configs" / "desk.json").model
+        net = model.RiGcnModel(desk)
+        pts, rng = random_cloud(0, desk.num_points), np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            loss = nnet.cross_entropy(model.forward(net, pts, rng), 0)
+            after_forward = tracemalloc.get_traced_memory()[0]
+            nnet.backward(loss)
+            after_backward = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        grads = sum(node.grad.nbytes for node in dag_nodes(loss))
+        assert after_backward - after_forward - grads <= 64 * 1024
 
 
 class TestTrainEvaluate:

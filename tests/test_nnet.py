@@ -220,7 +220,7 @@ class TestNoGrad:
         with nnet.no_grad():
             inside = self._layers()
         outside = self._layers()
-        assert all(node.parents == () for node in inside)
+        assert all(node.parents == () and node.upstream is None for node in inside)
         assert all(node.parents for node in outside)
         for a, b in zip(inside, outside):
             np.testing.assert_array_equal(bits(a.value), bits(b.value))
@@ -238,6 +238,23 @@ class TestNoGrad:
             with nnet.no_grad():
                 raise RuntimeError("inside")
         assert nnet.maxpool_rows(nnet.constant([[1.0]])).parents
+
+
+class TestBackward:
+    def test_each_upstream_is_applied_once(self):
+        x = nnet.constant(np.random.default_rng(5).normal(size=(4, 3)))
+        w, b = make_param("w", np.ones((3, 3))), make_param("b", np.zeros((1, 3)))
+        hidden = nnet.dense(w, b, x, True)
+        out = nnet.gcn_layer(np.eye(4), hidden, make_param("g", np.ones((3, 2))))
+        calls = {}
+        for name, node in (("dense", hidden), ("gcn_layer", out)):
+            def counted(g, name=name, inner=node.upstream):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(g)
+
+            node.upstream = counted
+        nnet.backward(nnet.cross_entropy(nnet.maxpool_rows(out), 1))
+        assert calls == {"dense": 1, "gcn_layer": 1}
 
 
 class TestGatherRows:
