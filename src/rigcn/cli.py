@@ -166,10 +166,11 @@ def _load_dataset(cfg: ExperimentConfig, config_path) -> data.DatasetSplit:
 
 def _check_cloud(source: str, cloud: np.ndarray, config: RiGcnConfig) -> None:
     """Reject a cloud the model cannot run: not an (N, 3) array of finite
-    coordinates, or smaller than the model's level 0. Commands call this
-    before they write any output."""
+    coordinates, an extent ``geom.normalize_unit_sphere`` rejects, or
+    smaller than the model's level 0. Commands call this before they write
+    any output. The cloud itself is not normalized here."""
     try:
-        geom.as_cloud(cloud)
+        geom.normalize_unit_sphere(cloud)
     except ValueError as e:
         raise ConfigError(f"cloud {source!r}: {e}") from None
     need = config.level_sizes[0]
@@ -381,10 +382,7 @@ def cmd_export_graphs(cfg: ExperimentConfig, args) -> int:
     net = _model_from_args(cfg, args)
     cloud = data.read_xyz(args.cloud)
     _check_cloud(str(args.cloud), cloud, net.config)
-    try:
-        pts = geom.normalize_unit_sphere(cloud)
-    except ValueError as e:
-        raise ConfigError(f"cloud {str(args.cloud)!r}: {e}") from None
+    pts = geom.normalize_unit_sphere(cloud)
     out = _prepare_out(cfg)
     for desc in model_mod.level_descriptors(net, pts):
         weights = model_mod.level_graph(net.config, desc)

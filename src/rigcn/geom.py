@@ -17,6 +17,10 @@ import numpy as np
 EIG_GAP_TOL = 1e-6
 # Threshold below which an odd-moment sign statistic is considered zero.
 MOMENT_TOL = 1e-12
+# Entries per partition block in ``nearest_candidates``: 64 KB of int64
+# indices, below glibc's initial 128 KB mmap threshold, so the heap serves
+# each block and reuses it for the next instead of mapping fresh pages.
+_PARTITION_ENTRIES = 8192
 
 _COORD_AXES = np.eye(3)
 
@@ -174,9 +178,20 @@ def nearest_candidates(d2: np.ndarray, count: int) -> np.ndarray:
     prefix is found by a partition; a row whose last kept distance ties the
     next one may have left tied candidates outside it, so for such rows
     every candidate at or below the cut distance is ranked again.
+
+    The partition runs over blocks of ``max(1, 8192 // n)`` rows for n
+    columns and keeps only each row's ``count + 1`` prefix, so its index
+    scratch is at most 8,192 entries (64 KB) whatever the row count, or one
+    row when a row is longer than that.
     """
-    rows = np.arange(len(d2))[:, None]
-    part = np.argpartition(d2, count, axis=1)[:, : count + 1]
+    m, n = d2.shape
+    rows = np.arange(m)[:, None]
+    part = np.empty((m, count + 1), dtype=np.intp)
+    step = max(1, _PARTITION_ENTRIES // n)
+    for start in range(0, m, step):
+        block = slice(start, start + step)
+        # One statement, so a block's indices are freed before the next.
+        part[block] = np.argpartition(d2[block], count, axis=1)[:, : count + 1]
     part_d2 = d2[rows, part]
     sub = np.lexsort((part, part_d2), axis=-1)
     out = part[rows, sub[:, :count]]

@@ -317,6 +317,19 @@ class TestTrain:
         assert "cube_0000" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_manifest_cloud_beyond_float_range_exits_2_before_training(self, tmp_path, capsys, scale):
+        def rescale(lines):
+            return [" ".join(repr(float(t) * scale) for t in line.split()) + "\n" for line in lines]
+
+        manifest = manifest_with_edited_cloud(tmp_path, "cube_0000", rescale)
+        cfg = write_config(tmp_path, name="cfg2.json", dataset={"kind": "manifest", "path": str(manifest)})
+        with np.errstate(over="ignore"):
+            assert cli.main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "cube_0000" in err and "extent out of range" in err
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):

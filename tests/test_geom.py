@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,61 @@ class TestFarthestPointSampling:
                 for subset in itertools.combinations(range(n), m)
             )
             assert fps_disp >= 0.5 * opt - 1e-12
+
+
+def scan_sized_cloud(kind: str, n: int = 1024) -> np.ndarray:
+    """A level-0-sized cloud: generic, an SO(3)-rotated cloud snapped to a
+    1/32 grid (as the benchmark's scans are), or n/4 points each drawn
+    about four times."""
+    rng = np.random.default_rng(11)
+    if kind == "generic":
+        return random_cloud(11, n)
+    if kind == "grid":
+        return np.round(geom.rotate(random_cloud(11, n), geom.random_rotation(rng, "so3")) * 32) / 32
+    base = random_cloud(11, n // 4)
+    return base[rng.integers(0, len(base), size=n)]
+
+
+@pytest.fixture(scope="module")
+def anchor_rows():
+    """Per cloud kind: the cloud, 128 FPS picks, their (128, 1024) distance
+    rows with each pick's own entry at inf, and every pick's full
+    ``sorted_candidates`` list, computed once for the module."""
+    out = {}
+    for kind in ("generic", "grid", "duplicates"):
+        pts = scan_sized_cloud(kind)
+        picks, rows, pos = fps(pts, 128)
+        rows[np.arange(len(picks)), pos] = np.inf
+        ref = np.array([geom.sorted_candidates(pts, int(a)) for a in picks])
+        out[kind] = pts, rows, ref
+    return out
+
+
+class TestNearestCandidates:
+    @pytest.mark.parametrize("kind", ["generic", "grid", "duplicates"])
+    @pytest.mark.parametrize("count", [1, 12, 31, 1022])
+    def test_matches_the_per_anchor_reference_across_blocks(self, anchor_rows, kind, count):
+        pts, rows, ref = anchor_rows[kind]
+        n = rows.shape[1]
+        step = geom._PARTITION_ENTRIES // n
+        assert step < len(rows), "the rows must span several partition blocks"
+        got = geom.canonical_order(pts)[geom.nearest_candidates(rows, count)]
+        np.testing.assert_array_equal(got, ref[:, :count])
+        if kind != "generic" and count < n - 2:
+            cut = np.sort(rows, axis=1)[:, count - 1 : count + 1]
+            tied = np.flatnonzero(cut[:, 0] == cut[:, 1])
+            assert tied.size and tied.max() >= step, "a row past the first block must tie at its cut"
+
+    def test_scratch_stays_bounded(self, anchor_rows):
+        # The whole-array partition held 128 x 1024 int64 indices (1 MB).
+        _, rows, _ = anchor_rows["generic"]
+        tracemalloc.start()
+        try:
+            geom.nearest_candidates(rows, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 def dilated_knn(points, anchor: int, k: int, d: int) -> np.ndarray:
