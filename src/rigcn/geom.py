@@ -179,10 +179,11 @@ def nearest_candidates(d2: np.ndarray, count: int) -> np.ndarray:
     next one may have left tied candidates outside it, so for such rows
     every candidate at or below the cut distance is ranked again.
 
-    The partition runs over blocks of ``max(1, 8192 // n)`` rows for n
-    columns and keeps only each row's ``count + 1`` prefix, so its index
-    scratch is at most 8,192 entries (64 KB) whatever the row count, or one
-    row when a row is longer than that.
+    The partition and the re-rank run over blocks of ``max(1, 8192 // n)``
+    rows for n columns, and the partition keeps only each row's
+    ``count + 1`` prefix, so a block's scratch is a few arrays of at most
+    8,192 entries (64 KB) whatever the row count, or of one row when a row
+    is longer than that.
     """
     m, n = d2.shape
     rows = np.arange(m)[:, None]
@@ -197,13 +198,14 @@ def nearest_candidates(d2: np.ndarray, count: int) -> np.ndarray:
     out = part[rows, sub[:, :count]]
     cut = part_d2[rows, sub[:, count - 1 :]]
     redo = np.flatnonzero(cut[:, 0] == cut[:, 1])
-    if redo.size:
-        redo_d2 = d2[redo]
-        r, c = np.nonzero(redo_d2 <= cut[redo, :1])
+    for start in range(0, redo.size, step):
+        tied = redo[start : start + step]
+        tied_d2 = d2[tied]
+        r, c = np.nonzero(tied_d2 <= cut[tied, :1])
         # By row, then distance; lexsort is stable, so ties keep column order.
-        ranked = c[np.lexsort((redo_d2[r, c], r))]
-        starts = np.searchsorted(r, np.arange(len(redo)))
-        out[redo] = ranked[starts[:, None] + np.arange(count)]
+        ranked = c[np.lexsort((tied_d2[r, c], r))]
+        starts = np.searchsorted(r, np.arange(len(tied)))
+        out[tied] = ranked[starts[:, None] + np.arange(count)]
     return out
 
 
@@ -213,7 +215,10 @@ def sorted_candidates(points: np.ndarray, anchor_index: int) -> np.ndarray:
     Distance ties are broken by ``canonical_order``, one anchor at a time;
     the batched paths are tested against this.
     """
-    d2 = squared_distances(points)[anchor_index]
+    planar = as_cloud(points).T
+    # The anchor's row of ``squared_distances``, bit for bit: the same
+    # subtraction and sum order, without the other N - 1 rows.
+    d2 = _sum_of_squares(planar - planar[:, anchor_index, None])
     rank = np.empty(len(points), dtype=np.int64)
     rank[canonical_order(points)] = np.arange(len(points))
     order = np.lexsort((rank, d2))

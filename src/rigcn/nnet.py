@@ -4,7 +4,9 @@ A forward pass builds a small DAG of ``Node`` objects; ``backward`` walks it
 in reverse topological order and accumulates gradients into ``Parameter``
 buffers. A node's optional ``upstream`` maps its gradient, once, to the
 array each of its vjps receives, so work they share (a ReLU mask,
-``A_hat.T @``) runs once and is freed as soon as they have run. The layer
+``A_hat.T @``) runs once and is freed as soon as they have run. An interior
+node's own gradient is freed once its vjps have passed it on, so after a
+backward only ``Parameter`` and leaf-node gradients remain. The layer
 set is fixed: dense (affine, optionally followed by ReLU) and graph
 convolution (ReLU of a constant matrix times a linear map), each as one
 node, row/segment max pooling, column concatenation, row gathering, and
@@ -145,23 +147,32 @@ def _topo_order(root: Node) -> list[Node]:
 
 
 def backward(root: Node) -> None:
-    """Accumulate d(root)/d(parameter) into every reachable Parameter.grad."""
+    """Accumulate d(root)/d(parameter) into every reachable Parameter.grad.
+
+    A node with parents has received every contribution before the reverse
+    topological walk reaches it, so its gradient is freed (``grad`` set back
+    to None) once its vjps have passed it on. Only ``Parameter`` gradients
+    and those of leaf nodes (constants) survive the call.
+    """
     order = _topo_order(root)
     root.grad = np.ones_like(root.value)
     for node in reversed(order):
         g = node.grad
-        if g is None:
+        if g is None or not node.parents:
             continue
+        node.grad = None
         if node.upstream is not None:
             g = node.upstream(g)
         for target, vjp in node.parents:
-            contrib = vjp(g)
+            # Each contribution is a temporary, freed as soon as it is added
+            # rather than held while the next node's upstream runs.
             if target.grad is None:
-                # Bitwise zeros + contrib, which turns -0.0 into 0.0, and
-                # never aliases contrib, which a later += would overwrite.
-                target.grad = contrib + 0.0
+                # Bitwise zeros + contribution, which turns -0.0 into 0.0,
+                # and never aliases the contribution (a vjp may return a view
+                # of g), which a later += would overwrite.
+                target.grad = vjp(g) + 0.0
             else:
-                target.grad += contrib
+                target.grad += vjp(g)
 
 
 def constant(value) -> Node:
@@ -232,9 +243,14 @@ def segment_maxpool(x: Node, offsets: np.ndarray) -> Node:
     out = np.maximum.reduceat(v, starts, axis=0)
 
     def vjp(g):
-        seg_ids = np.repeat(np.arange(len(counts)), counts)
+        hit = v == np.repeat(out, counts, axis=0)
+        if np.count_nonzero(hit) == out.size:
+            # A max that is not NaN equals at least one row of its segment,
+            # so this many hits means one per segment and column: no ties,
+            # and the hits are the argmax rows.
+            return np.where(hit, np.repeat(g, counts, axis=0), 0.0)
         rows = np.arange(v.shape[0])[:, None]
-        hit_rows = np.where(v == out[seg_ids], rows, v.shape[0])
+        hit_rows = np.where(hit, rows, v.shape[0])
         argrows = np.minimum.reduceat(hit_rows, starts, axis=0)
         gx = np.zeros_like(v)
         gx[argrows, np.arange(v.shape[1])[None, :]] = g

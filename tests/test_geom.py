@@ -243,16 +243,38 @@ class TestNearestCandidates:
             tied = np.flatnonzero(cut[:, 0] == cut[:, 1])
             assert tied.size and tied.max() >= step, "a row past the first block must tie at its cut"
 
+    @pytest.mark.parametrize("kind", ["generic", "grid", "duplicates", "swapped"])
+    def test_reference_ranks_the_block_row(self, anchor_rows, kind):
+        # sorted_candidates computes only the anchor's row; any bit it
+        # differs by from the block's row can reorder ties. In the swapped
+        # cloud every point has its y/z swap, and anchors with y == z see
+        # the two at distances that differ only in the order of the sum.
+        if kind == "swapped":
+            rng = np.random.default_rng(12)
+            half = rng.normal(size=(96, 3))
+            half[::7, 2] = half[::7, 1]
+            pts = np.vstack([half, half[:, [0, 2, 1]]])
+        else:
+            pts = anchor_rows[kind][0]
+        block = geom.squared_distances(pts)
+        rank = np.argsort(geom.canonical_order(pts))
+        for anchor in range(0, len(pts), 7):
+            order = np.lexsort((rank, block[anchor]))
+            np.testing.assert_array_equal(geom.sorted_candidates(pts, anchor), order[order != anchor])
+
     def test_scratch_stays_bounded(self, anchor_rows):
-        # The whole-array partition held 128 x 1024 int64 indices (1 MB).
-        _, rows, _ = anchor_rows["generic"]
-        tracemalloc.start()
-        try:
-            geom.nearest_candidates(rows, 12)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 256 * 1024
+        # The whole-array partition held 128 x 1024 int64 indices (1 MB); a
+        # re-rank over every tied row at once traced about 1 MB on the
+        # duplicate cloud and 0.5 MB on the grid.
+        for kind in ("generic", "grid", "duplicates"):
+            _, rows, _ = anchor_rows[kind]
+            tracemalloc.start()
+            try:
+                geom.nearest_candidates(rows, 12)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 256 * 1024, kind
 
 
 def dilated_knn(points, anchor: int, k: int, d: int) -> np.ndarray:

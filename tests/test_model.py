@@ -514,10 +514,9 @@ class TestGraphFreeLogits:
 
 
 class TestBackwardMemory:
-    def test_a_desk_backward_keeps_only_the_node_gradients(self):
-        # Beyond the gradients it stores on the nodes, a backward frees what
-        # it makes; what it kept until the graph died would sit beside the
-        # next training forward.
+    def test_a_desk_backward_keeps_only_the_leaf_gradients(self):
+        # Interior gradients are freed once passed on: what a backward kept
+        # would sit beside the next training forward until the graph died.
         desk = cli.load_experiment_config(ROOT / "configs" / "desk.json").model
         net = model.RiGcnModel(desk)
         pts, rng = random_cloud(0, desk.num_points), np.random.default_rng(0)
@@ -525,12 +524,20 @@ class TestBackwardMemory:
         try:
             loss = nnet.cross_entropy(model.forward(net, pts, rng), 0)
             after_forward = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             nnet.backward(loss)
-            after_backward = tracemalloc.get_traced_memory()[0]
+            after_backward, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        grads = sum(node.grad.nbytes for node in dag_nodes(loss))
-        assert after_backward - after_forward - grads <= 64 * 1024
+        nodes = dag_nodes(loss)
+        leaves = [node for node in nodes if not node.parents]
+        assert all(node.grad is None for node in nodes if node.parents)
+        assert leaves and all(node.grad is not None for node in leaves)
+        leaf_grads = sum(node.grad.nbytes for node in leaves)
+        assert after_backward - after_forward <= leaf_grads + 64 * 1024
+        # Measured at 0.96 MB above the forward's live memory; a backward
+        # that keeps every node's gradient reads 3.17 MB.
+        assert peak - after_forward < 1024 * 1024
 
 
 class TestTrainEvaluate:

@@ -46,6 +46,38 @@ def gcn_reference(a_hat, x, w):
     return relu_reference(nnet.Node(a_hat @ h.value, parents=((h, lambda g: a_hat.T @ g),)))
 
 
+def segment_maxpool_vjp_reference(v, offsets, g):
+    """The oracle for ``segment_maxpool``'s vjp: each segment's argmax row per
+    column, ties to the lowest row, from an int64 matrix of row indices."""
+    starts = offsets[:-1]
+    seg_ids = np.repeat(np.arange(len(starts)), np.diff(offsets))
+    out = np.maximum.reduceat(v, starts, axis=0)
+    rows = np.arange(v.shape[0])[:, None]
+    hit_rows = np.where(v == out[seg_ids], rows, v.shape[0])
+    argrows = np.minimum.reduceat(hit_rows, starts, axis=0)
+    gx = np.zeros_like(v)
+    gx[argrows, np.arange(v.shape[1])[None, :]] = g
+    return gx
+
+
+def backward_keeping_every_grad(root):
+    """The oracle for ``nnet.backward``: the same walk, but every node keeps
+    the gradient it received."""
+    root.grad = np.ones_like(root.value)
+    for node in reversed(nnet._topo_order(root)):
+        g = node.grad
+        if g is None:
+            continue
+        if node.upstream is not None:
+            g = node.upstream(g)
+        for target, vjp in node.parents:
+            contrib = vjp(g)
+            if target.grad is None:
+                target.grad = contrib + 0.0
+            else:
+                target.grad += contrib
+
+
 def worst_gradient_error(loss_fn, params):
     return max(nnet.gradient_check_blocks(loss_fn, params, eps=1e-6).values())
 
@@ -256,6 +288,33 @@ class TestBackward:
         nnet.backward(nnet.cross_entropy(nnet.maxpool_rows(out), 1))
         assert calls == {"dense": 1, "gcn_layer": 1}
 
+    @staticmethod
+    def _shared_input_graph():
+        """A loss over a ReLU layer that feeds two consumers, a row gather
+        and a graph convolution, with its leaf input and parameters."""
+        rng = np.random.default_rng(9)
+        x = nnet.constant(rng.normal(size=(5, 3)))
+        w, b = make_param("w", rng.normal(size=(3, 4))), make_param("b", rng.normal(size=(1, 4)))
+        g = make_param("g", rng.normal(size=(4, 4)))
+        c, cb = make_param("c", rng.normal(size=(8, 3))), make_param("cb", np.zeros((1, 3)))
+        a_hat = np.abs(rng.normal(size=(5, 5)))
+        hidden = nnet.dense(w, b, x, True)
+        both = nnet.concat_cols([nnet.gather_rows(hidden, [0, 0, 3, 4, 1]), nnet.gcn_layer(a_hat, hidden, g)])
+        pooled = nnet.maxpool_rows(nnet.segment_maxpool(both, np.array([0, 2, 5])))
+        return x, [w, b, g, c, cb], nnet.cross_entropy(nnet.dense(c, cb, pooled, False), 1)
+
+    def test_matches_a_backward_that_keeps_every_gradient(self):
+        x, params, loss = self._shared_input_graph()
+        x_ref, params_ref, loss_ref = self._shared_input_graph()
+        nnet.backward(loss)
+        backward_keeping_every_grad(loss_ref)
+        for p, q in zip(params, params_ref):
+            np.testing.assert_array_equal(bits(p.grad), bits(q.grad))
+        np.testing.assert_array_equal(bits(x.grad), bits(x_ref.grad))
+        nodes, nodes_ref = nnet._topo_order(loss), nnet._topo_order(loss_ref)
+        assert [n.grad is None for n in nodes] == [n is not x for n in nodes]
+        assert all(n.grad is not None for n in nodes_ref)
+
 
 class TestGatherRows:
     def test_forward_selects_rows(self):
@@ -337,6 +396,43 @@ class TestMaxpool:
             nnet.backward(sum_all(nnet.maxpool_rows(block)))
             grads.append(block.grad)
         np.testing.assert_array_equal(node.grad, np.vstack(grads))
+
+    @pytest.mark.parametrize(
+        "case", ["variable", "uniform", "one_row", "duplicate_rows", "padded", "signed_zeros"]
+    )
+    def test_segment_maxpool_vjp_matches_the_row_matrix_reference(self, case):
+        rng = np.random.default_rng(8)
+        v = rng.normal(size=(12, 5))
+        offsets = np.array([0, 4, 5, 7, 12])
+        if case == "uniform":
+            offsets = np.arange(0, 13, 3)
+        elif case == "one_row":
+            offsets = np.arange(13)
+        elif case == "duplicate_rows":
+            v[[2, 9, 11]] = v[[1, 8, 8]]
+        elif case == "padded":
+            # Pad-by-repeat: short patches repeat their nearest candidate.
+            v[[6, 10, 11]] = v[[5, 7, 7]]
+        elif case == "signed_zeros":
+            v = np.where(v > 0, 0.0, -0.0)
+        g = rng.normal(size=(len(offsets) - 1, v.shape[1]))
+        g[::2, 1:3] = -0.0
+        (_, vjp), = nnet.segment_maxpool(nnet.constant(v), offsets).parents
+        got = vjp(g)
+        assert got.dtype == np.float64 and got.shape == v.shape
+        np.testing.assert_array_equal(bits(got), bits(segment_maxpool_vjp_reference(v, offsets, g)))
+
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=6),
+        arrays(np.float64, (24, 3), elements=st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])),
+        arrays(np.float64, (6, 3), elements=st.sampled_from([-0.0, 0.5, -2.0])),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_segment_maxpool_vjp_matches_the_reference_on_ties(self, lengths, values, grads):
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        v, g = values[: offsets[-1]], grads[: len(lengths)]
+        (_, vjp), = nnet.segment_maxpool(nnet.constant(v), offsets).parents
+        np.testing.assert_array_equal(bits(vjp(g)), bits(segment_maxpool_vjp_reference(v, offsets, g)))
 
     def test_segment_maxpool_rejects_empty_segment(self):
         with pytest.raises(ValueError):
