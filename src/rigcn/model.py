@@ -195,6 +195,9 @@ def load_model(path) -> RiGcnModel:
         model = RiGcnModel(config)
     except ConfigError as e:  # the config parses but fails validate()
         raise ConfigError(f"{path}: config: {e}") from None
+    unknown = set(values) - {p.name for p in model.parameters()}
+    if unknown:
+        raise ValueError(f"checkpoint holds parameters the model lacks: {sorted(unknown)}: {path}")
     for p in model.parameters():
         if p.name not in values:
             raise ValueError(f"checkpoint is missing parameter {p.name!r}")
@@ -296,6 +299,7 @@ def extract_descriptors(
     ks = draw_interval(cfg.k_range, m0, rng if cfg.stochastic_k else None)
     ds = draw_interval(cfg.d_range, m0, rng if cfg.stochastic_d else None)
     off, (flat1, flatd) = _gather_patches(d2, order, pos, ks, (1, ds))
+    del d2  # the (m, N) rows are spent; the frames and MLPs run without them
     if cfg.transform_scope == "global":
         axes = np.broadcast_to(np.eye(3), (m0, 3, 3)).copy()
     else:
@@ -335,6 +339,7 @@ def extend_descriptors(
     # and so every stochastic forward and trained checkpoint, as it has been.
     draw_interval(cfg.d_range, m_l, rng if cfg.stochastic_d else None)
     off, (flat,) = _gather_patches(d2, prev.order, pos, ks, (1,))
+    del d2
     proj = _project_segments(prev.points, flat, off, anchors, axes)
     h_coord = nnet.segment_maxpool(nnet.mlp(model.g1[level], nnet.constant(proj)), off)
     h_desc = nnet.segment_maxpool(

@@ -12,7 +12,8 @@ convolution (ReLU of a constant matrix times a linear map), each as one
 node, row/segment max pooling, column concatenation, row gathering, and
 softmax cross-entropy. A ``ParameterSet`` keeps a model's values and
 gradients in two flat buffers, which Adam updates in a few whole-buffer
-passes.
+passes. The gradient buffer starts zeroed and unwritten, so a process
+that only runs forward passes need not map its pages.
 
 Inside a ``no_grad()`` block the same layer functions run without a graph:
 every ``Node`` keeps no parents and no upstream map, so each intermediate
@@ -29,6 +30,7 @@ input was positive, so no caller may change a node's value in place.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -66,7 +68,12 @@ class ParameterSet(list):
 
     Packing copies each parameter's value and gradient into the buffers and
     rebinds ``Parameter.value`` and ``.grad`` to views of them, so the
-    optimizer updates every parameter in whole-buffer passes. Write into a
+    optimizer updates every parameter in whole-buffer passes. ``grads``
+    starts zeroed (``np.zeros``), and packing writes only the gradients that
+    are not all +0.0, so a fresh model's gradient buffer is never written.
+    Where the allocator takes it fresh from the system, as it does for large
+    buffers, its pages stay unmapped until the first backward writes them,
+    and a process that only runs forward passes never maps them. Write into a
     parameter in place (``p.value[...] = ...``): rebinding ``p.value``
     detaches it from the buffers, and the optimizer no longer sees it. The
     list is not meant to grow or shrink after packing.
@@ -76,14 +83,17 @@ class ParameterSet(list):
         super().__init__(params)
         total = sum(p.value.size for p in self)
         self.values = np.empty(total)
-        self.grads = np.empty(total)
+        self.grads = np.zeros(total)
         start = 0
         for p in self:
             stop = start + p.value.size
-            for attr, buf in (("value", self.values), ("grad", self.grads)):
-                view = buf[start:stop].reshape(p.value.shape)
-                view[...] = getattr(p, attr)
-                setattr(p, attr, view)
+            value = self.values[start:stop].reshape(p.value.shape)
+            value[...] = p.value
+            grad = self.grads[start:stop].reshape(p.value.shape)
+            # Only an all +0.0 gradient is skipped: -0.0 keeps its sign bit.
+            if p.grad.any() or np.signbit(p.grad).any():
+                grad[...] = p.grad
+            p.value, p.grad = value, grad
             start = stop
 
 
@@ -462,12 +472,21 @@ def save_checkpoint(path, config: dict, params: list[Parameter]) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint back as (config echo, name -> float64 array)."""
+    """Read a checkpoint back as (config echo, name -> float64 array).
+
+    The header is checked against the file's size before any parameter is
+    read: the byte count it declares (computed with Python ints, so no
+    shape overflows) must equal the bytes that follow it, and no name may
+    appear twice.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file: {path}")
         size = int.from_bytes(fh.read(8), "little")
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size > left:
+            raise ValueError(f"truncated checkpoint: a {size}-byte header but {left} bytes follow: {path}")
         header = json.loads(fh.read(size).decode("utf-8"))
         version = header.get("version") if isinstance(header, dict) else None
         if version != CHECKPOINT_VERSION:
@@ -483,14 +502,23 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             for e in entries
         ):
             raise ValueError(f"malformed checkpoint header: {path}")
+        seen: set[str] = set()
+        for entry in entries:
+            if entry["name"] in seen:
+                raise ValueError(f"checkpoint lists parameter {entry['name']!r} twice: {path}")
+            seen.add(entry["name"])
+        declared = sum(8 * math.prod(e["shape"]) for e in entries)
+        left -= size
+        if declared > left:
+            raise ValueError(
+                f"truncated checkpoint: the header declares {declared} bytes of parameters "
+                f"but {left} follow it: {path}"
+            )
+        if declared < left:
+            raise ValueError(f"trailing bytes after the last parameter: {path}")
         values: dict[str, np.ndarray] = {}
         for entry in entries:
             shape = tuple(entry["shape"])
-            n = int(np.prod(shape))
-            raw = fh.read(n * 8)
-            if len(raw) != n * 8:
-                raise ValueError(f"truncated checkpoint: {path}")
+            raw = fh.read(8 * math.prod(shape))
             values[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise ValueError(f"trailing bytes after the last parameter: {path}")
     return header["config"], values

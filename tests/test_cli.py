@@ -331,6 +331,19 @@ class TestTrain:
         assert not (tmp_path / "out").exists()
 
 
+def edited_checkpoint(ckpt, path, edit, extra=b""):
+    """A copy of ``ckpt`` at ``path`` whose JSON header went through
+    ``edit``, with ``extra`` bytes appended to the parameter data."""
+    blob = ckpt.read_bytes()
+    start = len(nnet.CHECKPOINT_MAGIC) + 8
+    end = start + int.from_bytes(blob[start - 8 : start], "little")
+    header = json.loads(blob[start:end])
+    edit(header)
+    text = json.dumps(header).encode()
+    path.write_bytes(blob[: start - 8] + len(text).to_bytes(8, "little") + text + blob[end:] + extra)
+    return path
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("trained")
@@ -448,18 +461,32 @@ class TestEvaluate:
         ids=["without_params", "scalar_shape", "null_level_sizes", "levels_without_sizes"],
     )
     def test_malformed_checkpoint_header_exits_2(self, trained, tmp_path, capsys, edit):
-        _, ckpt, _ = trained
-        blob = ckpt.read_bytes()
-        start = len(nnet.CHECKPOINT_MAGIC) + 8
-        end = start + int.from_bytes(blob[start - 8 : start], "little")
-        header = json.loads(blob[start:end])
-        edit(header)
-        text = json.dumps(header).encode()
-        bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(blob[: start - 8] + len(text).to_bytes(8, "little") + text + blob[end:])
+        bad = edited_checkpoint(trained[1], tmp_path / "bad.ckpt", edit)
         cfg = write_config(tmp_path)
         assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(bad)]) == 2
         assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit, extra, message",
+        [
+            # Each shape once ended in a traceback or numpy's reshape error.
+            (lambda h: h["params"][0].update(shape=[10**12]), 0, "truncated"),
+            (lambda h: h["params"][0].update(shape=[10**7] * 3), 0, "truncated"),
+            (lambda h: h["params"][0].update(shape=[2**62, 4]), 0, "truncated"),
+            (lambda h: h["params"].append({"name": "stray.w", "shape": [1, 2]}), 2, "stray.w"),
+            (lambda h: h["params"].append(dict(h["params"][0])), 18, "'l0.g1.w0' twice"),
+        ],
+        ids=["shape_1e12", "shape_1e21", "shape_2e62_by_4", "stray_parameter", "duplicate_name"],
+    )
+    def test_checkpoint_header_that_disagrees_with_the_model_exits_2(
+        self, trained, tmp_path, capsys, edit, extra, message
+    ):
+        bad = edited_checkpoint(trained[1], tmp_path / "bad.ckpt", edit, b"\0" * 8 * extra)
+        cfg = write_config(tmp_path)
+        assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and str(bad) in err
         assert not (tmp_path / "out").exists()
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigcn import cli, data, geom, graph, model, nnet
+from rigcn import cli, data, environment, geom, graph, model, nnet
 
 from conftest import fps, random_cloud, tiny_config
 from test_geom import dilated_knn
@@ -540,6 +540,48 @@ class TestBackwardMemory:
         assert peak - after_forward < 1024 * 1024
 
 
+class TestInferenceMemory:
+    def test_a_desk_forward_frees_the_level_0_rows_once_patches_are_gathered(self):
+        # Measured at 0.91 MB above the live memory at the call; keeping the
+        # (128, 512) level-0 FPS rows through the frames and MLPs reads 1.42 MB.
+        desk = cli.load_experiment_config(ROOT / "configs" / "desk.json").model
+        net = model.RiGcnModel(desk)
+        pts = random_cloud(0, desk.num_points)
+        model.logits(net, pts)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            model.logits(net, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 1024 * 1024
+
+    def test_evaluate_leaves_the_gradient_buffer_zero(self, tiny_model):
+        clouds = [random_cloud(s) for s in range(3)]
+        model.evaluate(tiny_model, clouds, np.array([0, 1, 2]), "so3", np.random.default_rng(0))
+        grads = tiny_model.parameters().grads
+        assert not grads.any() and not np.signbit(grads).any()
+
+
+# The environment the two trajectory pins were recorded under
+# (``environment.fingerprint()``).
+PIN_ENVIRONMENT = {
+    "numpy": "2.4.6",
+    "openblas_config": "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64",
+    "openblas_core": "SkylakeX",
+    "simd_targets": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
+}
+
+
+def test_fingerprint_names_the_running_build():
+    fp = environment.fingerprint()
+    assert fp.keys() == PIN_ENVIRONMENT.keys()
+    assert fp["numpy"] == np.__version__
+    if fp["openblas_core"] is not None:
+        assert fp["openblas_core"] in fp["openblas_config"]
+
+
 class TestTrainEvaluate:
     def _toy_data(self, n_clouds=12, n_points=48):
         rng = np.random.default_rng(2)
@@ -592,14 +634,25 @@ class TestTrainEvaluate:
         model.save_model(net, path)
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
+    def _assert_pinned(self, digest, pinned):
+        # Compared bit for bit; a failure names both environments, since
+        # another BLAS kernel or SIMD target rounds differently.
+        assert digest == pinned, (
+            f"digest {digest} differs from the pin {pinned}\n"
+            f"pin recorded under: {PIN_ENVIRONMENT}\n"
+            f"this environment:   {environment.fingerprint()}"
+        )
+
     def test_trajectory_is_pinned(self, tmp_path):
-        assert self._two_epoch_digest(tmp_path) == (
-            "c086f422af85bea4471f2dbd705e008fbbd012fca9add781af53c493250cb22f"
+        self._assert_pinned(
+            self._two_epoch_digest(tmp_path),
+            "c086f422af85bea4471f2dbd705e008fbbd012fca9add781af53c493250cb22f",
         )
 
     def test_mlp_abstraction_trajectory_is_pinned(self, tmp_path):
-        assert self._two_epoch_digest(tmp_path, abstraction="mlp") == (
-            "c726eb4f5e004993587ca5b6c29271cc7d70e4b3bfb2329d5bd84cceb297d08e"
+        self._assert_pinned(
+            self._two_epoch_digest(tmp_path, abstraction="mlp"),
+            "c726eb4f5e004993587ca5b6c29271cc7d70e4b3bfb2329d5bd84cceb297d08e",
         )
 
     def test_toy_set_is_learnable(self):

@@ -546,6 +546,43 @@ class TestSoftmaxCrossEntropy:
             nnet.softmax_cross_entropy(np.zeros(3), 3)
 
 
+def vm_rss_bytes():
+    try:
+        with open("/proc/self/status") as fh:
+            line = next(line for line in fh if line.startswith("VmRSS:"))
+    except (OSError, StopIteration):
+        pytest.skip("no VmRSS in /proc/self/status")
+    return int(line.split()[1]) * 1024
+
+
+class TestParameterSet:
+    def test_packing_leaves_the_gradient_buffer_unmapped(self):
+        # 42 MB is above glibc's 32 MB ceiling for its mmap threshold, so the
+        # zeroed buffer is always a fresh mapping that nothing has written.
+        # Writing zeros into it at packing grows VmRSS by all of it.
+        value = np.ones((2300, 2300))
+        # np.zeros, unlike np.zeros_like, leaves its pages unwritten.
+        params = [nnet.Parameter("p", value, np.zeros(value.shape))]
+        del value  # packing frees the old value as it rebinds it
+        before = vm_rss_bytes()
+        packed = nnet.ParameterSet(params)
+        grown = vm_rss_bytes() - before
+        assert packed.grads.nbytes >= 40 * 2**20
+        assert grown < 0.1 * packed.grads.nbytes
+        assert not packed.grads.any()
+
+    def test_a_non_zero_gradient_is_packed_bitwise(self):
+        grads = [np.array([[1.5, -0.0, np.nan]]), np.array([[-0.0, -0.0]]), np.zeros((2, 2))]
+        params = [
+            nnet.Parameter(f"p{i}", np.full(g.shape, float(i)), g.copy()) for i, g in enumerate(grads)
+        ]
+        packed = nnet.ParameterSet(params)
+        for p, g in zip(packed, grads):
+            assert np.shares_memory(p.grad, packed.grads)
+            np.testing.assert_array_equal(p.grad.view(np.uint64), g.view(np.uint64))
+        np.testing.assert_array_equal(packed.values, [0, 0, 0, 1, 1, 2, 2, 2, 2])
+
+
 class TestOptimizer:
     def test_zero_gradient_leaves_adam_parameters_unchanged(self):
         p = make_param("p", [[1.0, 2.0]])
@@ -722,6 +759,12 @@ class TestCheckpoint:
         assert raw.count(b'"version":1') == 1
         path.write_bytes(raw.replace(b'"version":1', b'"version":2'))
         with pytest.raises(ValueError, match="version"):
+            nnet.load_checkpoint(path)
+
+    def test_rejects_a_header_longer_than_the_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(nnet.CHECKPOINT_MAGIC + (2**62).to_bytes(8, "little") + b"{}")
+        with pytest.raises(ValueError, match="truncated"):
             nnet.load_checkpoint(path)
 
     def test_rejects_foreign_files(self, tmp_path):
