@@ -306,8 +306,8 @@ def extract_descriptors(
         axes = geom.lrf_axes_batch(points[flatd], off, anchors)
     proj1 = _project_segments(points, flat1, off, anchors, axes)
     projd = _project_segments(points, flatd, off, anchors, axes)
-    h1 = nnet.segment_maxpool(nnet.mlp(model.g1[0], nnet.constant(proj1)), off)
-    hd = nnet.segment_maxpool(nnet.mlp(model.g2, nnet.constant(projd)), off)
+    h1 = nnet.pooled_mlp(model.g1[0], nnet.constant(proj1), off)
+    hd = nnet.pooled_mlp(model.g2, nnet.constant(projd), off)
     features = nnet.mlp(model.f[0], nnet.concat_cols([h1, hd]))
     return DescriptorSet(0, anchors, axes, features, block, geom.canonical_order(anchors))
 
@@ -341,10 +341,8 @@ def extend_descriptors(
     off, (flat,) = _gather_patches(d2, prev.order, pos, ks, (1,))
     del d2
     proj = _project_segments(prev.points, flat, off, anchors, axes)
-    h_coord = nnet.segment_maxpool(nnet.mlp(model.g1[level], nnet.constant(proj)), off)
-    h_desc = nnet.segment_maxpool(
-        nnet.mlp(model.h[level], nnet.gather_rows(prev.features, flat)), off
-    )
+    h_coord = nnet.pooled_mlp(model.g1[level], nnet.constant(proj), off)
+    h_desc = nnet.pooled_mlp(model.h[level], nnet.gather_rows(prev.features, flat), off)
     features = nnet.mlp(model.f[level], nnet.concat_cols([h_coord, h_desc]))
     return DescriptorSet(level, anchors, axes, features, block, geom.canonical_order(anchors))
 

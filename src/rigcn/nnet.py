@@ -9,11 +9,18 @@ node's own gradient is freed once its vjps have passed it on, so after a
 backward only ``Parameter`` and leaf-node gradients remain. The layer
 set is fixed: dense (affine, optionally followed by ReLU) and graph
 convolution (ReLU of a constant matrix times a linear map), each as one
-node, row/segment max pooling, column concatenation, row gathering, and
-softmax cross-entropy. A ``ParameterSet`` keeps a model's values and
-gradients in two flat buffers, which Adam updates in a few whole-buffer
-passes. The gradient buffer starts zeroed and unwritten, so a process
-that only runs forward passes need not map its pages.
+node, row/segment max pooling, a per-row MLP max-pooled per segment as one
+node, column concatenation, row gathering, and softmax cross-entropy.
+
+A node keeps its value and what its vjps read. A pooled MLP node reads
+only its input and each segment's argmax rows, and its backward recomputes
+the hidden rows, so a graph holds no pooled branch's hidden or pre-pool
+rows.
+
+A ``ParameterSet`` keeps a model's values and gradients in two flat
+buffers, which Adam updates in a few whole-buffer passes. The gradient
+buffer starts zeroed and unwritten, so a process that only runs forward
+passes need not map its pages.
 
 Inside a ``no_grad()`` block the same layer functions run without a graph:
 every ``Node`` keeps no parents and no upstream map, so each intermediate
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -197,6 +205,15 @@ def _relu(y: np.ndarray) -> None:
     y += 0.0
 
 
+def _affine(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray, activate: bool) -> np.ndarray:
+    """``dense``'s arithmetic: X @ W + b, then the ReLU rule when ``activate``."""
+    y = xv @ wv
+    y += bv
+    if activate:
+        _relu(y)
+    return y
+
+
 def dense(w: Parameter, b: Parameter, x: Node, activate: bool) -> Node:
     """Y = X @ W + b with a (1, c) bias row, then ReLU when ``activate``, as
     one node over one array."""
@@ -205,10 +222,7 @@ def dense(w: Parameter, b: Parameter, x: Node, activate: bool) -> Node:
         raise ShapeError(f"dense: input shape {xv.shape} does not match weight shape {wv.shape}")
     if b.value.shape != (1, wv.shape[1]):
         raise ShapeError(f"bias shape {b.value.shape} does not match output width {wv.shape[1]}")
-    y = xv @ wv
-    y += b.value
-    if activate:
-        _relu(y)
+    y = _affine(xv, wv, b.value, activate)
     return Node(
         y,
         parents=(
@@ -237,6 +251,28 @@ def maxpool_rows(x: Node) -> Node:
     return Node(v.max(axis=0, keepdims=True), parents=((x, vjp),))
 
 
+def _segment_argmax(v: np.ndarray, out: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per segment and column, the lowest row of ``v`` that holds the
+    segment's max ``out``; ``len(v)`` where no row does (a NaN max)."""
+    hit = v == np.repeat(out, np.diff(offsets), axis=0)
+    flat = np.flatnonzero(hit.T)  # column by column, rows in order
+    if flat.size == out.size and not np.isnan(out).any():
+        # A max that is not NaN equals at least one row of its segment, so
+        # this many hits is one per segment and column (no ties): each
+        # column's hits are its argmax rows, segment by segment.
+        return (flat.reshape(out.shape[::-1]) % len(v)).T
+    hit_rows = np.where(hit, np.arange(len(v))[:, None], len(v))
+    return np.minimum.reduceat(hit_rows, offsets[:-1], axis=0)
+
+
+def _scatter_rows(argrows: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """An (n, c) zero matrix holding ``g[i, j]`` at row ``argrows[i, j]`` of
+    column j."""
+    gx = np.zeros((n, g.shape[1]))
+    gx[argrows, np.arange(g.shape[1])] = g
+    return gx
+
+
 def segment_maxpool(x: Node, offsets: np.ndarray) -> Node:
     """Row-wise max within each contiguous segment of rows.
 
@@ -246,27 +282,12 @@ def segment_maxpool(x: Node, offsets: np.ndarray) -> Node:
     """
     v = x.value
     offsets = np.asarray(offsets)
-    counts = np.diff(offsets)
-    if np.any(counts < 1):
+    if np.any(np.diff(offsets) < 1):
         raise ValueError("segment_maxpool requires non-empty segments")
-    starts = offsets[:-1]
-    out = np.maximum.reduceat(v, starts, axis=0)
-
-    def vjp(g):
-        hit = v == np.repeat(out, counts, axis=0)
-        if np.count_nonzero(hit) == out.size:
-            # A max that is not NaN equals at least one row of its segment,
-            # so this many hits means one per segment and column: no ties,
-            # and the hits are the argmax rows.
-            return np.where(hit, np.repeat(g, counts, axis=0), 0.0)
-        rows = np.arange(v.shape[0])[:, None]
-        hit_rows = np.where(hit, rows, v.shape[0])
-        argrows = np.minimum.reduceat(hit_rows, starts, axis=0)
-        gx = np.zeros_like(v)
-        gx[argrows, np.arange(v.shape[1])[None, :]] = g
-        return gx
-
-    return Node(out, parents=((x, vjp),))
+    out = np.maximum.reduceat(v, offsets[:-1], axis=0)
+    return Node(
+        out, parents=((x, lambda g: _scatter_rows(_segment_argmax(v, out, offsets), g, len(v))),)
+    )
 
 
 def concat_cols(nodes: list[Node]) -> Node:
@@ -359,6 +380,51 @@ def mlp(params: list[Parameter], x: Node) -> Node:
     for i, (w, b) in enumerate(pairs):
         x = dense(w, b, x, activate=i < len(pairs) - 1)
     return x
+
+
+def pooled_mlp(params: list[Parameter], x: Node, offsets: np.ndarray) -> Node:
+    """``segment_maxpool(mlp(params, x), offsets)`` as one node: a per-row
+    MLP, max-pooled over each contiguous segment of rows.
+
+    The node keeps its input and, per segment and column, the row that held
+    the max (ties to the lowest row, as ``segment_maxpool`` routes them); the
+    hidden and pre-pool rows are freed once pooled. Its backward recomputes
+    the hidden rows from the input with ``dense``'s arithmetic, then runs the
+    vjps of ``segment_maxpool`` and of each ``dense``, with ``backward``'s
+    ``+ 0.0`` for each interior node, so every gradient has the bits the
+    chain of nodes would give it. Every parameter and the input (a constant
+    too) gets its gradient.
+    """
+    if not _grad_enabled:
+        return segment_maxpool(mlp(params, x), offsets)
+    with no_grad():
+        pre = mlp(params, x)
+        out = segment_maxpool(pre, offsets)
+    argrows = _segment_argmax(pre.value, out.value, np.asarray(offsets))
+    n = len(pre.value)
+    del pre
+    xv = x.value
+    layers = [(w.value, b.value) for w, b in zip(params[0::2], params[1::2])]
+
+    def upstream(g):
+        # ins[i] is layer i's input, recomputed bit for bit.
+        ins = [xv]
+        for wv, bv in layers[:-1]:
+            ins.append(_affine(ins[-1], wv, bv, True))
+        u = _scatter_rows(argrows, g + 0.0, n)
+        grads = [None] * (len(params) + 1)
+        for i in reversed(range(len(layers))):
+            grads[2 * i] = ins[i].T @ u
+            grads[2 * i + 1] = u.sum(axis=0, keepdims=True)
+            u = u @ layers[i][0].T
+            if i:
+                u += 0.0
+                u *= ins.pop() > 0  # the ReLU mask of layer i - 1
+        grads[-1] = u
+        return grads
+
+    parents = tuple((node, operator.itemgetter(i)) for i, node in enumerate([*params, x]))
+    return Node(out.value, parents, upstream)
 
 
 @dataclass
@@ -487,7 +553,10 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if size > left:
             raise ValueError(f"truncated checkpoint: a {size}-byte header but {left} bytes follow: {path}")
-        header = json.loads(fh.read(size).decode("utf-8"))
+        try:
+            header = json.loads(fh.read(size).decode("utf-8"))
+        except RecursionError:  # nesting deeper than the parser recurses
+            raise ValueError(f"malformed checkpoint header: nested too deeply: {path}") from None
         version = header.get("version") if isinstance(header, dict) else None
         if version != CHECKPOINT_VERSION:
             raise ValueError(

@@ -438,6 +438,24 @@ class TestEvaluate:
         cfg, _, _ = trained
         assert cli.main(["evaluate", "--config", str(cfg)]) == 2
 
+    def test_deeply_nested_checkpoint_header_exits_2(self, trained, tmp_path, capsys):
+        # Deeper than json's recursion limit: once a RecursionError, exit 1.
+        blob = b"[" * 200_000
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(nnet.CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob)
+        cfg = write_config(tmp_path)
+        assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert str(bad) in err and not out
+        assert not (tmp_path / "out").exists()
+
+    def test_deeply_nested_config_exits_2(self, trained, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[" * 200_000)
+        assert cli.main(["evaluate", "--config", str(bad), "--checkpoint", str(trained[1])]) == 2
+        out, err = capsys.readouterr()
+        assert str(bad) in err and not out
+
     def test_checkpoint_with_trailing_bytes_exits_2(self, trained, tmp_path, capsys):
         _, ckpt, _ = trained
         bad = tmp_path / "bad.ckpt"
@@ -722,14 +740,18 @@ class TestGradcheck:
         for name in names:
             assert sum(1 for line in lines if line.startswith(name + " ")) == 1
 
-    # gcn_layer carries the GCN weights, dense every MLP weight; each keeps
-    # its weight as parents[0].
-    @pytest.mark.parametrize("layer", ["gcn_layer", "dense"])
+    # gcn_layer carries the GCN weights, pooled_mlp the per-point branch
+    # weights and dense the other MLP weights; each keeps its (first) weight
+    # as parents[0]. The layers a pooled branch runs inside no_grad() keep
+    # no parents, so there is nothing to corrupt.
+    @pytest.mark.parametrize("layer", ["gcn_layer", "dense", "pooled_mlp"])
     def test_corrupted_backward_fails_with_exit_1(self, monkeypatch, layer):
         original = getattr(nnet, layer)
 
         def corrupted(*args, **kwargs):
             node = original(*args, **kwargs)
+            if not node.parents:
+                return node
             (p, vjp_w), rest = node.parents[0], node.parents[1:]
             node.parents = ((p, lambda g: 2.0 * vjp_w(g)),) + rest
             return node
@@ -867,8 +889,8 @@ class TestBenchmarkHooks:
         }
         # Inference builds no graph, so each forward is one DAG node.
         assert eval_counts == {**{k: n * v for k, v in per_cloud.items()}, "dag_nodes": n}
-        # Training keeps the 42-node graph of a desk forward.
-        assert recorder.counts == {**{k: 2 * n * v for k, v in per_cloud.items()}, "dag_nodes": n * (1 + 42)}
+        # Training keeps the 30-node graph of a desk forward.
+        assert recorder.counts == {**{k: 2 * n * v for k, v in per_cloud.items()}, "dag_nodes": n * (1 + 30)}
         names = {span[0] for span in recorder.spans}
         assert {"model.forward", "geom.fps", "graph.build", "nnet.backward"} <= names
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,10 +62,16 @@ def segment_maxpool_vjp_reference(v, offsets, g):
     return gx
 
 
-def backward_keeping_every_grad(root):
+def pooled_mlp_reference(params, x, offsets):
+    """The oracle for ``nnet.pooled_mlp``: the chain of nodes it replaces,
+    one ``dense`` per layer and then ``segment_maxpool``."""
+    return nnet.segment_maxpool(nnet.mlp(params, x), offsets)
+
+
+def backward_keeping_every_grad(root, g=None):
     """The oracle for ``nnet.backward``: the same walk, but every node keeps
-    the gradient it received."""
-    root.grad = np.ones_like(root.value)
+    the gradient it received. ``g`` replaces the root's gradient of ones."""
+    root.grad = np.ones_like(root.value) if g is None else g
     for node in reversed(nnet._topo_order(root)):
         g = node.grad
         if g is None:
@@ -76,6 +84,15 @@ def backward_keeping_every_grad(root):
                 target.grad = contrib + 0.0
             else:
                 target.grad += contrib
+
+
+def init_mlp_with_biases(widths, seed):
+    """``nnet.init_mlp`` parameters whose biases are drawn too."""
+    rng = np.random.default_rng(seed)
+    params = nnet.init_mlp(nnet.MlpSpec(widths), rng, "m")
+    for bias in params[1::2]:
+        bias.value[...] = rng.normal(size=bias.value.shape)
+    return params
 
 
 def worst_gradient_error(loss_fn, params):
@@ -244,6 +261,7 @@ class TestNoGrad:
             nnet.segment_maxpool(x, np.array([0, 2, 4])),
             nnet.concat_cols([x, x]),
             nnet.gather_rows(x, [0, 0, 3]),
+            nnet.pooled_mlp(init_mlp_with_biases((3, 5, 2), 4), x, np.array([0, 1, 4])),
             nnet.gcn_layer(np.eye(4), x, make_param("g", np.ones((3, 3)))),
             nnet.cross_entropy(nnet.dense(w, b, nnet.constant(x.value[:1]), False), 1),
         ]
@@ -437,6 +455,108 @@ class TestMaxpool:
     def test_segment_maxpool_rejects_empty_segment(self):
         with pytest.raises(ValueError):
             nnet.segment_maxpool(nnet.constant(np.zeros((3, 2))), [0, 3, 3])
+
+
+class TestPooledMlp:
+    @staticmethod
+    def _fused_and_chained(params, x, offsets, upstream, as_root=False):
+        """(value, parameter gradients..., input gradient) pairs from
+        ``pooled_mlp`` and its chain of nodes. The node gets ``upstream`` as
+        its gradient when ``as_root``, and through a loss node otherwise."""
+        runs = []
+        for layer in (nnet.pooled_mlp, pooled_mlp_reference):
+            ps = [make_param(p.name, p.value.copy()) for p in params]
+            xn = nnet.constant(x)
+            y = layer(ps, xn, offsets)
+            if as_root:
+                backward_keeping_every_grad(y, upstream)
+            else:
+                nnet.backward(nnet.Node(np.float64(0.0), parents=((y, lambda g: g * upstream),)))
+            runs.append((y.value, *(p.grad for p in ps), xn.grad))
+        return list(zip(*runs))
+
+    @staticmethod
+    def _ties(params, x, offsets):
+        """How many more pre-pool entries than pooled ones hold their
+        segment's max: 0 when every max is attained once."""
+        with nnet.no_grad():
+            pre = nnet.mlp(params, nnet.constant(x)).value
+        out = np.maximum.reduceat(pre, offsets[:-1], axis=0)
+        return np.count_nonzero(pre == np.repeat(out, np.diff(offsets), axis=0)) - out.size
+
+    @pytest.mark.parametrize("as_root", [False, True])
+    @pytest.mark.parametrize(
+        "case", ["variable", "one_row", "padded", "signed_zeros", "dead_rows", "one_layer"]
+    )
+    def test_matches_the_chain_of_nodes_bit_for_bit(self, case, as_root):
+        rng = np.random.default_rng(17)
+        params = init_mlp_with_biases((3, 4) if case == "one_layer" else (3, 6, 4), 5)
+        x = rng.normal(size=(12, 3))
+        offsets = np.array([0, 4, 5, 7, 12])
+        if case == "one_row":
+            offsets = np.arange(13)
+        elif case == "padded":
+            # Pad-by-repeat: short patches repeat their nearest candidate.
+            x[[6, 10, 11]] = x[[5, 7, 7]]
+        elif case == "signed_zeros":
+            x[[0, 2, 8, 9]] = [[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0] * 3, [0.0] * 3]
+        elif case == "dead_rows":
+            # Rows whose hidden units are all dead pool to the output bias.
+            params[1].value[...] = -1.0
+            params[0].value[...] = np.abs(params[0].value)
+            x[[0, 1, 8, 9, 11]] = -x[[0, 1, 8, 9, 11]] ** 2 - 1.0
+        assert (self._ties(params, x, offsets) > 0) == (case in ("padded", "signed_zeros", "dead_rows"))
+        g = rng.normal(size=(len(offsets) - 1, 4))
+        g[::2, 1:3] = -0.0
+        for fused, chained in self._fused_and_chained(params, x, offsets, g, as_root):
+            np.testing.assert_array_equal(bits(fused), bits(chained))
+
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=6),
+        arrays(np.float64, (24, 2), elements=st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])),
+        arrays(np.float64, (2, 3), elements=st.sampled_from([-1.0, -0.0, 0.0, 1.0])),
+        arrays(np.float64, (1, 3), elements=st.sampled_from([-1.0, -0.0, 0.0, 1.0])),
+        arrays(np.float64, (3, 2), elements=st.sampled_from([-1.0, -0.0, 0.0, 1.0])),
+        arrays(np.float64, (1, 2), elements=st.sampled_from([-0.0, 0.0, 1.0])),
+        arrays(np.float64, (6, 2), elements=st.sampled_from([-0.0, 0.5, -2.0])),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tie_heavy_values_match_the_chain_bit_for_bit(self, lengths, x, w0, b0, w1, b1, g, as_root):
+        # Small integers keep every sum exact, so rows tie and zeros of both
+        # signs reach the ReLU and the pool.
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        params = [make_param(n, v) for n, v in zip(("w0", "b0", "w1", "b1"), (w0, b0, w1, b1))]
+        runs = self._fused_and_chained(params, x[: offsets[-1]], offsets, g[: len(lengths)], as_root)
+        for fused, chained in runs:
+            np.testing.assert_array_equal(bits(fused), bits(chained))
+
+    def test_the_node_keeps_no_hidden_or_pre_pool_rows(self):
+        rng = np.random.default_rng(19)
+        params = init_mlp_with_biases((3, 64, 32), 7)
+        x = nnet.constant(rng.normal(size=(4000, 3)))
+        tracemalloc.start()
+        try:
+            y = nnet.pooled_mlp(params, x, np.arange(0, 4001, 8))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert [target for target, _ in y.parents] == [*params, x]
+        # The pooled rows and an argmax row per entry: 256 KB. The hidden
+        # rows alone would be 2 MB, the pre-pool rows 1 MB.
+        assert kept < 2 * y.value.nbytes + 64 * 1024
+
+    def test_finite_difference_gradient(self):
+        rng = np.random.default_rng(20)
+        params = init_mlp_with_biases((3, 5, 4), 8)
+        x = rng.normal(size=(7, 3))
+        offsets = np.array([0, 2, 3, 7])
+
+        def loss_fn():
+            pooled = nnet.pooled_mlp(params, nnet.constant(x), offsets)
+            return nnet.cross_entropy(nnet.maxpool_rows(pooled), 2)
+
+        assert worst_gradient_error(loss_fn, params) <= 1e-5
 
 
 class TestGcnLayer:
