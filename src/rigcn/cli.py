@@ -125,6 +125,8 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         key, sep, raw = item.partition("=")
         if not sep:
             raise ConfigError(f"--ablation expects key=value, got {item!r}")
+        if key == "seed":  # the model is initialised from the experiment seed
+            raise ConfigError("--ablation cannot set seed; use --seed")
         model_cfg = _set_model_field(model_cfg, key, raw)
     model_cfg.validate()
     return dataclasses.replace(cfg, model=model_cfg)

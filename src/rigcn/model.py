@@ -1,5 +1,9 @@
-"""The RI-GCN pipeline: local descriptor extraction, hierarchical descriptor
-extension, per-level graph abstraction, and the classification head.
+"""The RI-GCN pipeline: a descriptor hierarchy built by one level step,
+per-level graph abstraction, and the classification head.
+
+The step runs from the input cloud (level -1) to level 0 and from each
+level to the next: it samples anchors, gathers their patches, encodes them
+with two per-point branches, max-pools the branches and fuses them.
 
 A forward pass without a generator is a pure function of (cloud,
 parameters): every interval yields its midpoint. Given a generator, it draws
@@ -137,19 +141,21 @@ class DescriptorSet:
 
     The block is a block of the rows the level's sampling computed; the
     next level's sampling and the level's graph read it and the order
-    instead of computing distances or sorting the points again.
+    instead of computing distances or sorting the points again. The input
+    cloud enters the hierarchy as level -1, with no axes, features or block.
     """
 
     level: int
     points: np.ndarray
-    axes: np.ndarray
-    features: nnet.Node
-    block: np.ndarray
+    axes: np.ndarray | None
+    features: nnet.Node | None
+    block: np.ndarray | None
     order: np.ndarray
 
 
 class RiGcnModel:
-    """All learnable parameters, keyed by block name, plus the config."""
+    """All learnable parameters, as per-level lists (``g1``, ``h``, ``f``,
+    ``gcn_w``) and the classifier ``clf``, plus the config."""
 
     def __init__(self, config: RiGcnConfig):
         config.validate()
@@ -157,24 +163,21 @@ class RiGcnModel:
         rng = np.random.default_rng(config.seed)
         channels = config.channels
         self.g1: list[list[nnet.Parameter]] = []
-        self.g2: list[nnet.Parameter] | None = None
-        self.h: list[list[nnet.Parameter] | None] = []
+        self.h: list[list[nnet.Parameter]] = []
         self.f: list[list[nnet.Parameter]] = []
         self.gcn_w: list[nnet.Parameter] = []
         params: list[nnet.Parameter] = []
         for l, c in enumerate(channels):
             branch = c // 2
             self.g1.append(nnet.init_mlp(nnet.MlpSpec((3, config.g_hidden, branch)), rng, f"l{l}.g1"))
-            if l == 0:
-                self.g2 = nnet.init_mlp(nnet.MlpSpec((3, config.g_hidden, branch)), rng, "l0.g2")
-                self.h.append(None)
+            if l == 0:  # over dilated-patch coordinates; checkpoints name it g2
+                h_spec, h_name = (3, config.g_hidden, branch), "l0.g2"
             else:
-                self.h.append(
-                    nnet.init_mlp(nnet.MlpSpec((channels[l - 1], branch, branch)), rng, f"l{l}.h")
-                )
+                h_spec, h_name = (channels[l - 1], branch, branch), f"l{l}.h"
+            self.h.append(nnet.init_mlp(nnet.MlpSpec(h_spec), rng, h_name))
             self.f.append(nnet.init_mlp(nnet.MlpSpec((c, c, c)), rng, f"l{l}.f"))
             self.gcn_w.append(nnet.init_parameter(f"l{l}.gcn", (c, c), rng))
-            params += [*self.g1[l], *(self.g2 if l == 0 else self.h[l]), *self.f[l], self.gcn_w[l]]
+            params += [*self.g1[l], *self.h[l], *self.f[l], self.gcn_w[l]]
         clf_spec = nnet.MlpSpec((sum(channels), config.classifier_hidden, config.num_classes))
         self.clf = nnet.init_mlp(clf_spec, rng, "clf")
         self._params = nnet.ParameterSet(params + self.clf)
@@ -277,74 +280,65 @@ def _project_segments(
     return np.einsum("ti,tia->ta", rel, axes[seg_ids])
 
 
+def _next_level(
+    model: RiGcnModel, prev: DescriptorSet, rng: np.random.Generator | None
+) -> DescriptorSet:
+    """The level above ``prev``: one feature row per anchor sampled from its
+    points. Each anchor's plain k-NN patch, projected onto the anchor's
+    frame, feeds the ``g1`` branch. Above the cloud (no ``prev.features``) a
+    dilated patch gives the frame (its PCA frame, or the identity under
+    global frames, where the caller has rotated the whole cloud canonically)
+    and its projection feeds ``h``; above a level each anchor keeps its axes,
+    never recomputed, and ``h`` runs over the previous level's feature rows
+    of the plain patch. Both branches are max-pooled per anchor,
+    concatenated and fused by ``f``.
+    """
+    cfg = model.config
+    level = prev.level + 1
+    m = cfg.level_sizes[level]
+    if m > len(prev.points):
+        raise ConfigError(f"level {level} needs {m} points but its input has {len(prev.points)}")
+    sel, d2, pos = geom.farthest_point_sampling(prev.points, m, prev.order, prev.block)
+    block = d2[:, pos]
+    anchors = prev.points[sel]
+    ks = draw_interval(cfg.k_range, m, rng if cfg.stochastic_k else None)
+    # Levels 1+ draw dilations and do not use them: the draw keeps the
+    # generator's stream, and so every stochastic forward and trained
+    # checkpoint, as it has been.
+    ds = draw_interval(cfg.d_range, m, rng if cfg.stochastic_d else None)
+    dilations = (1, ds) if prev.features is None else (1,)
+    off, (flat, *dilated) = _gather_patches(d2, prev.order, pos, ks, dilations)
+    del d2  # the (m, N) rows are spent; the frames and MLPs run without them
+    if prev.axes is not None:
+        axes = prev.axes[sel]
+    elif cfg.transform_scope == "global":
+        axes = np.broadcast_to(np.eye(3), (m, 3, 3)).copy()
+    else:
+        axes = geom.lrf_axes_batch(prev.points[dilated[0]], off, anchors)
+    proj = _project_segments(prev.points, flat, off, anchors, axes)
+    if prev.features is None:
+        second = nnet.constant(_project_segments(prev.points, dilated[0], off, anchors, axes))
+    else:
+        second = nnet.gather_rows(prev.features, flat)
+    h1 = nnet.pooled_mlp(model.g1[level], nnet.constant(proj), off)
+    h2 = nnet.pooled_mlp(model.h[level], second, off)
+    features = nnet.mlp(model.f[level], nnet.concat_cols([h1, h2]))
+    return DescriptorSet(level, anchors, axes, features, block, geom.canonical_order(anchors))
+
+
 def extract_descriptors(
     model: RiGcnModel, points: np.ndarray, rng: np.random.Generator | None = None
 ) -> DescriptorSet:
-    """Level-0 descriptors: one feature row per representative point.
-
-    Per anchor, a plain k-NN patch and a dilated patch are projected onto
-    the anchor's PCA frame (estimated from the dilated patch), encoded by
-    the two per-point MLP branches, max-pooled, concatenated, and fused.
-    In global-transformation mode the per-anchor frames are the identity and
-    the caller is expected to have canonically rotated the whole cloud.
-    """
-    cfg = model.config
-    m0 = cfg.level_sizes[0]
-    if len(points) < m0:
-        raise ConfigError(f"cloud has {len(points)} points but level 0 needs {m0}")
-    order = geom.canonical_order(points)
-    sel, d2, pos = geom.farthest_point_sampling(points, m0, order)
-    block = d2[:, pos]
-    anchors = points[sel]
-    ks = draw_interval(cfg.k_range, m0, rng if cfg.stochastic_k else None)
-    ds = draw_interval(cfg.d_range, m0, rng if cfg.stochastic_d else None)
-    off, (flat1, flatd) = _gather_patches(d2, order, pos, ks, (1, ds))
-    del d2  # the (m, N) rows are spent; the frames and MLPs run without them
-    if cfg.transform_scope == "global":
-        axes = np.broadcast_to(np.eye(3), (m0, 3, 3)).copy()
-    else:
-        axes = geom.lrf_axes_batch(points[flatd], off, anchors)
-    proj1 = _project_segments(points, flat1, off, anchors, axes)
-    projd = _project_segments(points, flatd, off, anchors, axes)
-    h1 = nnet.pooled_mlp(model.g1[0], nnet.constant(proj1), off)
-    hd = nnet.pooled_mlp(model.g2, nnet.constant(projd), off)
-    features = nnet.mlp(model.f[0], nnet.concat_cols([h1, hd]))
-    return DescriptorSet(0, anchors, axes, features, block, geom.canonical_order(anchors))
+    """Level-0 descriptors of a cloud, the level above it."""
+    cloud = DescriptorSet(-1, points, None, None, None, geom.canonical_order(points))
+    return _next_level(model, cloud, rng)
 
 
 def extend_descriptors(
     model: RiGcnModel, prev: DescriptorSet, rng: np.random.Generator | None = None
 ) -> DescriptorSet:
-    """The hierarchy step from ``prev`` to the next level: subsample anchors,
-    fuse coordinate and descriptor branches over previous-level neighbors.
-
-    Surviving anchors keep the axes estimated at level 0; they are never
-    recomputed. The coordinate branch projects neighbor positions with those
-    reused axes; the descriptor branch runs a per-neighbor MLP over the
-    previous level's feature rows, max-pooled per anchor.
-    """
-    cfg = model.config
-    level = prev.level + 1
-    m_l = cfg.level_sizes[level]
-    if m_l > len(prev.points):
-        raise ConfigError(
-            f"level {level} size {m_l} exceeds previous level size {len(prev.points)}"
-        )
-    sel, d2, pos = geom.farthest_point_sampling(prev.points, m_l, prev.order, prev.block)
-    block = d2[:, pos]
-    anchors = prev.points[sel]
-    axes = prev.axes[sel]
-    ks = draw_interval(cfg.k_range, m_l, rng if cfg.stochastic_k else None)
-    # Dilations are drawn and not used: the draw keeps the generator's stream,
-    # and so every stochastic forward and trained checkpoint, as it has been.
-    draw_interval(cfg.d_range, m_l, rng if cfg.stochastic_d else None)
-    off, (flat,) = _gather_patches(d2, prev.order, pos, ks, (1,))
-    del d2
-    proj = _project_segments(prev.points, flat, off, anchors, axes)
-    h_coord = nnet.pooled_mlp(model.g1[level], nnet.constant(proj), off)
-    h_desc = nnet.pooled_mlp(model.h[level], nnet.gather_rows(prev.features, flat), off)
-    features = nnet.mlp(model.f[level], nnet.concat_cols([h_coord, h_desc]))
-    return DescriptorSet(level, anchors, axes, features, block, geom.canonical_order(anchors))
+    """The hierarchy step from ``prev`` to the next level."""
+    return _next_level(model, prev, rng)
 
 
 def level_graph(

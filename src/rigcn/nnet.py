@@ -253,7 +253,8 @@ def maxpool_rows(x: Node) -> Node:
 
 def _segment_argmax(v: np.ndarray, out: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per segment and column, the lowest row of ``v`` that holds the
-    segment's max ``out``; ``len(v)`` where no row does (a NaN max)."""
+    segment's max ``out``; a NaN max is held by the segment's NaN rows, so
+    the first NaN row takes it, as ``np.argmax`` picks in ``maxpool_rows``."""
     hit = v == np.repeat(out, np.diff(offsets), axis=0)
     flat = np.flatnonzero(hit.T)  # column by column, rows in order
     if flat.size == out.size and not np.isnan(out).any():
@@ -261,6 +262,7 @@ def _segment_argmax(v: np.ndarray, out: np.ndarray, offsets: np.ndarray) -> np.n
         # this many hits is one per segment and column (no ties): each
         # column's hits are its argmax rows, segment by segment.
         return (flat.reshape(out.shape[::-1]) % len(v)).T
+    hit |= np.isnan(v)  # a NaN row makes its segment's max NaN
     hit_rows = np.where(hit, np.arange(len(v))[:, None], len(v))
     return np.minimum.reduceat(hit_rows, offsets[:-1], axis=0)
 

@@ -248,6 +248,15 @@ class TestTrain:
         assert cli.main(["train", "--config", str(cfg), "--ablation", item]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_ablation_cannot_set_the_seed(self, tmp_path, capsys):
+        # The model is initialised from the experiment seed; a model seed set
+        # apart from it would make the echoed config.json fail to load.
+        cfg = write_config(tmp_path)
+        assert cli.main(["train", "--config", str(cfg), "--epochs", "0", "--ablation", "seed=5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "use --seed" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "overrides, ablation",
         [({"model": {"k_range": [2, 2]}}, []), ({}, ["--ablation", "k_range=2,4"])],

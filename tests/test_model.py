@@ -261,10 +261,10 @@ class TestExtendDescriptors:
         assert np.abs(a - b).max() <= 1e-5 * (1 + np.abs(a).max())
 
     def test_size_monotonicity_enforced(self, cloud):
-        net = tiny_net(level_sizes=(24, 8))
-        d0 = model.extract_descriptors(net, cloud)
-        with pytest.raises(model.ConfigError):
-            model.extend_descriptors(model.RiGcnModel(tiny_config(level_sizes=(24, 25), levels=2)), d0)
+        d0 = model.extract_descriptors(tiny_net(level_sizes=(24, 8)), cloud)
+        wide = tiny_net(level_sizes=(40, 30))
+        with pytest.raises(model.ConfigError, match="level 1 needs 30 points but its input has 24"):
+            model.extend_descriptors(wide, d0)
 
 
 class TestAbstractLevel:
@@ -583,7 +583,7 @@ class TestInferenceMemory:
         assert not grads.any() and not np.signbit(grads).any()
 
 
-# The environment the two trajectory pins were recorded under
+# The environment the three trajectory pins were recorded under
 # (``environment.fingerprint()``).
 PIN_ENVIRONMENT = {
     "numpy": "2.4.6",
@@ -672,6 +672,12 @@ class TestTrainEvaluate:
         self._assert_pinned(
             self._two_epoch_digest(tmp_path, abstraction="mlp"),
             "c726eb4f5e004993587ca5b6c29271cc7d70e4b3bfb2329d5bd84cceb297d08e",
+        )
+
+    def test_global_frames_trajectory_is_pinned(self, tmp_path):
+        self._assert_pinned(
+            self._two_epoch_digest(tmp_path, transform_scope="global"),
+            "a9d8689cd254fa9d82ac2d46fdc86dde54a534004cf88e0c928ef11ccdf94562",
         )
 
     def test_toy_set_is_learnable(self):

@@ -452,6 +452,16 @@ class TestMaxpool:
         (_, vjp), = nnet.segment_maxpool(nnet.constant(v), offsets).parents
         np.testing.assert_array_equal(bits(vjp(g)), bits(segment_maxpool_vjp_reference(v, offsets, g)))
 
+    def test_segment_maxpool_routes_a_nan_max_as_maxpool_rows_does(self):
+        x = np.array([[1.0, np.nan], [2.0, 3.0], [np.nan, np.nan], [0.5, 1.0]])
+        seg, rows = nnet.constant(x), nnet.constant(x)
+        pooled = nnet.segment_maxpool(seg, [0, 4])
+        nnet.backward(pooled)
+        nnet.backward(nnet.maxpool_rows(rows))
+        np.testing.assert_array_equal(pooled.value, [[np.nan, np.nan]])
+        np.testing.assert_array_equal(seg.grad, rows.grad)
+        np.testing.assert_array_equal(seg.grad, [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+
     def test_segment_maxpool_rejects_empty_segment(self):
         with pytest.raises(ValueError):
             nnet.segment_maxpool(nnet.constant(np.zeros((3, 2))), [0, 3, 3])
@@ -486,11 +496,14 @@ class TestPooledMlp:
 
     @pytest.mark.parametrize("as_root", [False, True])
     @pytest.mark.parametrize(
-        "case", ["variable", "one_row", "padded", "signed_zeros", "dead_rows", "one_layer"]
+        "case",
+        ["variable", "one_row", "padded", "signed_zeros", "dead_rows", "one_layer", "nan_rows"],
     )
     def test_matches_the_chain_of_nodes_bit_for_bit(self, case, as_root):
         rng = np.random.default_rng(17)
-        params = init_mlp_with_biases((3, 4) if case == "one_layer" else (3, 6, 4), 5)
+        # NaN rows get one layer too, so the NaN reaches the pool: a ReLU zeroes it.
+        one_layer = case in ("one_layer", "nan_rows")
+        params = init_mlp_with_biases((3, 4) if one_layer else (3, 6, 4), 5)
         x = rng.normal(size=(12, 3))
         offsets = np.array([0, 4, 5, 7, 12])
         if case == "one_row":
@@ -505,6 +518,8 @@ class TestPooledMlp:
             params[1].value[...] = -1.0
             params[0].value[...] = np.abs(params[0].value)
             x[[0, 1, 8, 9, 11]] = -x[[0, 1, 8, 9, 11]] ** 2 - 1.0
+        elif case == "nan_rows":
+            x[[1, 5]] = np.nan
         assert (self._ties(params, x, offsets) > 0) == (case in ("padded", "signed_zeros", "dead_rows"))
         g = rng.normal(size=(len(offsets) - 1, 4))
         g[::2, 1:3] = -0.0
