@@ -151,14 +151,10 @@ def farthest_point_sampling(
     pos = np.empty(m, dtype=np.int64)
     rows = np.empty((m, n))
     min_d2 = np.full(n, np.inf)
-    # One subtraction per coordinate: broadcasting a (3, 1) column over the
-    # planar array costs several times more per call.
-    coords = tuple(zip(planar, diff))
     for i, row in enumerate(rows):
         pos[i] = current
         if block is None:
-            for axis, delta in coords:
-                np.subtract(axis, axis[current], out=delta)
+            np.subtract(planar, planar[:, current, None], out=diff)
             _sum_of_squares(diff, out=row)
         else:
             np.take(block[order[current]], order, out=row)

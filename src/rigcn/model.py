@@ -418,7 +418,10 @@ def train_epoch(
     """One pass over the training set in a seeded shuffle order.
 
     Each sample is rotation-augmented per ``rotation_mode`` (none/z/so3),
-    pushed through a stochastic forward pass, and applied immediately.
+    pushed through a stochastic forward pass, and applied immediately. The
+    backward consumes the step's graph, and the step drops its last nodes
+    before the Adam step, so neither Adam nor the next forward runs beside
+    a spent graph.
     """
     if len(clouds) == 0:
         raise ValueError("empty training split")
@@ -435,9 +438,10 @@ def train_epoch(
         if not np.isfinite(loss):
             raise nnet.TrainingDivergenceError(f"non-finite loss at sample {idx}")
         nnet.backward(loss_node)
+        correct += int(np.argmax(out.value.ravel()) == labels[idx])
+        del out, loss_node
         nnet.optimizer_step(opt_state, model.parameters())
         total_loss += loss
-        correct += int(np.argmax(out.value.ravel()) == labels[idx])
     return EpochMetrics(mean_loss=total_loss / len(clouds), accuracy=correct / len(clouds))
 
 

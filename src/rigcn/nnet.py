@@ -4,13 +4,18 @@ A forward pass builds a small DAG of ``Node`` objects; ``backward`` walks it
 in reverse topological order and accumulates gradients into ``Parameter``
 buffers. A node's optional ``upstream`` maps its gradient, once, to the
 array each of its vjps receives, so work they share (a ReLU mask,
-``A_hat.T @``) runs once and is freed as soon as they have run. An interior
-node's own gradient is freed once its vjps have passed it on, so after a
-backward only ``Parameter`` and leaf-node gradients remain. The layer
-set is fixed: dense (affine, optionally followed by ReLU) and graph
-convolution (ReLU of a constant matrix times a linear map), each as one
-node, row/segment max pooling, a per-row MLP max-pooled per segment as one
-node, column concatenation, row gathering, and softmax cross-entropy.
+``A_hat.T @``) runs once and is freed as soon as they have run. A backward
+consumes its graph: once an interior node's vjps have passed its gradient
+on, the node drops that gradient, its parents and its upstream, so every
+array its vjps saved is freed after its last consumer has run. After a
+backward only ``Parameter`` gradients, leaf-node gradients and the values
+of nodes the caller still holds remain, and a second backward through the
+graph raises.
+
+The layer set is fixed: dense (affine, optionally followed by ReLU) and
+graph convolution (ReLU of a constant matrix times a linear map), each as
+one node, row/segment max pooling, a per-row MLP max-pooled per segment as
+one node, column concatenation, row gathering, and softmax cross-entropy.
 
 A node keeps its value and what its vjps read. A pooled MLP node reads
 only its input and each segment's argmax rows, and its backward recomputes
@@ -140,7 +145,8 @@ class Node:
         self.grad = None
         # parents: tuple of (Node-or-Parameter, vjp) where vjp maps the
         # upstream (upstream(grad), or grad when upstream is None) to this
-        # parent's gradient contribution; both are dropped under no_grad().
+        # parent's gradient contribution; both are dropped under no_grad(),
+        # and a backward sets both to None once it has consumed the node.
         self.parents = parents if _grad_enabled else ()
         self.upstream = upstream if _grad_enabled else None
 
@@ -156,6 +162,8 @@ def _topo_order(root: Node) -> list[Node]:
             continue
         if id(node) in visited:
             continue
+        if node.parents is None:
+            raise ValueError("backward through a consumed graph: an earlier backward dropped its parents")
         visited.add(id(node))
         stack.append((node, True))
         for target, _ in node.parents:
@@ -167,21 +175,28 @@ def _topo_order(root: Node) -> list[Node]:
 def backward(root: Node) -> None:
     """Accumulate d(root)/d(parameter) into every reachable Parameter.grad.
 
-    A node with parents has received every contribution before the reverse
-    topological walk reaches it, so its gradient is freed (``grad`` set back
-    to None) once its vjps have passed it on. Only ``Parameter`` gradients
-    and those of leaf nodes (constants) survive the call.
+    The call consumes the graph. A node with parents has received every
+    contribution before the reverse topological walk reaches it, so once its
+    vjps have passed its gradient on, the node drops its gradient (``grad``
+    back to None), its ``parents`` (set to None) and its ``upstream``, and
+    the walk drops the node. Each array a vjp captured (a saved input, a
+    ReLU output, ``A_hat``, argmax rows) is freed once its last consumer has
+    run. Only ``Parameter`` gradients, leaf-node (constant) gradients and
+    the values of nodes the caller still holds survive the call. A second
+    backward through a consumed node raises ``ValueError``; a leaf root (a
+    constant, or a forward under ``no_grad()``) passes nothing on, as before.
     """
     order = _topo_order(root)
     root.grad = np.ones_like(root.value)
-    for node in reversed(order):
-        g = node.grad
-        if g is None or not node.parents:
+    while order:
+        node = order.pop()
+        parents, upstream, g = node.parents, node.upstream, node.grad
+        if g is None or not parents:
             continue
-        node.grad = None
-        if node.upstream is not None:
-            g = node.upstream(g)
-        for target, vjp in node.parents:
+        node.grad = node.parents = node.upstream = None
+        if upstream is not None:
+            g = upstream(g)
+        for target, vjp in parents:
             # Each contribution is a temporary, freed as soon as it is added
             # rather than held while the next node's upstream runs.
             if target.grad is None:
@@ -449,6 +464,10 @@ def optimizer_step(state: OptimizerState, params: ParameterSet) -> None:
     Each line of the update runs once over the flat buffers, in the same
     operation order as the textbook per-parameter form, so the result is
     bitwise the same.
+
+    A non-finite gradient raises ``TrainingDivergenceError`` before values,
+    moments or ``state.step`` change; the gradient buffer is zeroed first, so
+    the refused gradient does not leak into the next step.
     """
     g = params.grads
     if state.m is None:
@@ -460,6 +479,7 @@ def optimizer_step(state: OptimizerState, params: ParameterSet) -> None:
         )
     if not np.isfinite(g).all():
         bad = next(p for p in params if not np.isfinite(p.grad).all())
+        g.fill(0.0)
         raise TrainingDivergenceError(f"non-finite gradient in parameter {bad.name!r}")
     state.step += 1
     b1, b2, m, v = state.beta1, state.beta2, state.m, state.v

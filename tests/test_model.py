@@ -518,12 +518,16 @@ class TestGraphFreeLogits:
 class TestBackwardMemory:
     @staticmethod
     def _desk_step():
-        """Traced bytes of one desk training step on a fresh model: (after
-        the forward, backward's peak, after the backward), all counted from
-        before the forward, and the loss node."""
+        """A fresh desk model, one of its clouds and the forward's generator."""
         desk = cli.load_experiment_config(ROOT / "configs" / "desk.json").model
-        net = model.RiGcnModel(desk)
-        pts, rng = random_cloud(0, desk.num_points), np.random.default_rng(0)
+        return model.RiGcnModel(desk), random_cloud(0, desk.num_points), np.random.default_rng(0)
+
+    @classmethod
+    def _traced_desk_step(cls):
+        """Traced bytes of one desk training step that holds only its loss
+        node: (after the forward, backward's peak, after the backward), all
+        counted from before the forward."""
+        net, pts, rng = cls._desk_step()
         tracemalloc.start()
         try:
             loss = nnet.cross_entropy(model.forward(net, pts, rng), 0)
@@ -533,30 +537,57 @@ class TestBackwardMemory:
             after_backward, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return after_forward, peak, after_backward, loss
+        return after_forward, peak, after_backward
 
     def test_a_desk_backward_keeps_only_the_leaf_gradients(self):
-        # Interior gradients are freed once passed on: what a backward kept
-        # would sit beside the next training forward until the graph died.
-        after_forward, peak, after_backward, loss = self._desk_step()
+        # The backward consumes the graph: each interior node drops its
+        # gradient, parents and upstream once it has passed its gradient on.
+        net, pts, rng = self._desk_step()
+        loss = nnet.cross_entropy(model.forward(net, pts, rng), 0)
         nodes = dag_nodes(loss)
         leaves = [node for node in nodes if not node.parents]
-        assert all(node.grad is None for node in nodes if node.parents)
-        assert leaves and all(node.grad is not None for node in leaves)
-        leaf_grads = sum(node.grad.nbytes for node in leaves)
-        assert after_backward - after_forward <= leaf_grads + 64 * 1024
-        # The forward's live graph plus backward's peak: measured at 1.74 MiB.
-        # A graph that keeps each branch's hidden and pre-pool rows reads
-        # 3.29 MiB, though its backward adds less (0.92 MiB against 1.02 MiB,
-        # which recomputes the hidden rows).
-        assert peak < 2.5 * 1024 * 1024
+        interior = [node for node in nodes if node.parents]
+        nnet.backward(loss)
+        assert leaves and interior
+        assert all(n.grad is None and n.parents is None and n.upstream is None for n in interior)
+        assert all(node.grad is not None for node in leaves)
+        # Memory on a step that holds no node list, which would keep every
+        # value alive: the forward's live graph plus backward's peak.
+        # Measured at 1.13 MiB; a backward that keeps each node's saved
+        # inputs until it returns reads 1.75 MiB.
+        peak = self._traced_desk_step()[1]
+        assert peak < 1.5 * 1024 * 1024
 
     def test_the_graph_kept_after_a_desk_backward_is_small(self):
-        # What sits beside the next cloud's forward in ``train_epoch``: each
-        # pooled branch keeps its input and argmax rows. Measured at 0.81 MiB;
-        # keeping the branches' hidden and pre-pool rows reads 2.45 MiB.
-        after_backward = self._desk_step()[2]
-        assert after_backward < 1024 * 1024
+        # What would sit beside the Adam step and the next cloud's forward in
+        # ``train_epoch``: the leaf gradients the walk frees with their
+        # nodes. Measured at 0.02 MiB; keeping every node's saved inputs
+        # until the graph dies reads 0.81 MiB.
+        after_backward = self._traced_desk_step()[2]
+        assert after_backward < 64 * 1024
+
+    def test_a_desk_epoch_holds_one_graph_at_a_time(self):
+        # Each step's graph is consumed by its backward and dropped before
+        # the Adam step, so no step runs beside the last one's graph.
+        # Measured at 1.19 MiB above the start of the epoch; holding each
+        # graph until the next forward returns reads 1.98 MiB.
+        desk = cli.load_experiment_config(ROOT / "configs" / "desk.json").model
+        net = model.RiGcnModel(desk)
+        clouds = [random_cloud(s, desk.num_points) for s in range(3)]
+        labels, state = np.array([0, 1, 2]), nnet.OptimizerState()
+
+        def epoch(seed):
+            return model.train_epoch(net, clouds, labels, "z", state, np.random.default_rng(seed))
+
+        epoch(0)  # allocates the Adam moments and maps the gradient buffer
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            epoch(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 1.5 * 1024 * 1024
 
 
 class TestInferenceMemory:

@@ -324,14 +324,41 @@ class TestBackward:
     def test_matches_a_backward_that_keeps_every_gradient(self):
         x, params, loss = self._shared_input_graph()
         x_ref, params_ref, loss_ref = self._shared_input_graph()
+        nodes, nodes_ref = nnet._topo_order(loss), nnet._topo_order(loss_ref)
         nnet.backward(loss)
         backward_keeping_every_grad(loss_ref)
         for p, q in zip(params, params_ref):
             np.testing.assert_array_equal(bits(p.grad), bits(q.grad))
         np.testing.assert_array_equal(bits(x.grad), bits(x_ref.grad))
-        nodes, nodes_ref = nnet._topo_order(loss), nnet._topo_order(loss_ref)
         assert [n.grad is None for n in nodes] == [n is not x for n in nodes]
         assert all(n.grad is not None for n in nodes_ref)
+        # The walk consumed every interior node; the leaf keeps its parents.
+        assert [n.parents is None and n.upstream is None for n in nodes] == [n is not x for n in nodes]
+        assert x.parents == ()
+
+    def test_a_second_backward_through_a_consumed_graph_raises(self):
+        x, params, loss = self._shared_input_graph()
+        (logits, _), = loss.parents
+        nnet.backward(loss)
+        grads = [p.grad.copy() for p in params]
+        with pytest.raises(ValueError, match="consumed graph"):
+            nnet.backward(loss)
+        # A new graph over a node of the consumed one raises too.
+        with pytest.raises(ValueError, match="consumed graph"):
+            nnet.backward(nnet.maxpool_rows(logits))
+        for p, g in zip(params, grads):
+            np.testing.assert_array_equal(bits(p.grad), bits(g))
+
+    def test_a_leaf_root_passes_nothing_on_each_time(self):
+        x = nnet.constant([[1.0, -2.0]])
+        w = make_param("w", np.ones((2, 2)))
+        with nnet.no_grad():
+            out = nnet.gcn_layer(np.eye(1), x, w)
+        for root in (x, out, x, out):
+            nnet.backward(root)
+            np.testing.assert_array_equal(root.grad, np.ones_like(root.value))
+        assert x.parents == () and out.parents == ()
+        assert not w.grad.any()
 
 
 class TestGatherRows:
@@ -760,6 +787,25 @@ class TestOptimizer:
         p.grad[...] = np.nan
         with pytest.raises(nnet.TrainingDivergenceError, match="clf.w0"):
             nnet.optimizer_step(nnet.OptimizerState(), nnet.ParameterSet([p]))
+
+    def test_a_refused_step_does_not_refuse_the_next(self):
+        def state_after(steps):
+            p = make_param("p", [[0.5, -1.0]])
+            params, state = nnet.ParameterSet([p]), nnet.OptimizerState()
+            for g in steps:
+                p.grad += g
+                try:
+                    nnet.optimizer_step(state, params)
+                except nnet.TrainingDivergenceError:
+                    assert not params.grads.any() and not np.signbit(params.grads).any()
+            return p.value, state
+
+        good, bad = [[0.25, 1.0]], [[np.nan, 1.0]]
+        value, state = state_after([good, bad, good])
+        ref_value, ref_state = state_after([good, good])
+        assert state.step == ref_state.step == 2
+        for a, b in ((value, ref_value), (state.m, ref_state.m), (state.v, ref_state.v)):
+            np.testing.assert_array_equal(bits(a), bits(b))
 
     def test_flat_update_matches_the_per_parameter_loop_bitwise(self):
         rng = np.random.default_rng(14)
