@@ -413,13 +413,12 @@ def _gradcheck_config(seed: int) -> RiGcnConfig:
     )
 
 
-def cmd_gradcheck(cfg: ExperimentConfig | None, args) -> int:
-    seed = (args.seed or 0) if cfg is None else cfg.seed
-    model_cfg = _gradcheck_config(seed) if cfg is None else cfg.model
+def cmd_gradcheck(cfg: ExperimentConfig, args) -> int:
+    model_cfg = _gradcheck_config(cfg.seed) if args.config is None else cfg.model
     if model_cfg.num_points > 64:
         raise ConfigError("gradcheck requires a small config (num_points <= 64)")
     net = model_mod.RiGcnModel(model_cfg)
-    rng = np.random.default_rng([seed, _STREAM_GRAD])
+    rng = np.random.default_rng([cfg.seed, _STREAM_GRAD])
     pts = geom.normalize_unit_sphere(rng.normal(size=(model_cfg.num_points, 3)))
     label = int(rng.integers(model_cfg.num_classes))
 
@@ -518,10 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = None  # only gradcheck runs without --config; it checks a built-in model
-        if args.config is not None:
-            cfg = _apply_overrides(load_experiment_config(args.config), args)
-        return args.func(cfg, args)
+        # Only gradcheck runs without --config; it checks a built-in model.
+        cfg = ExperimentConfig() if args.config is None else load_experiment_config(args.config)
+        return args.func(_apply_overrides(cfg, args), args)
     except nnet.TrainingDivergenceError as e:
         print(f"divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGED

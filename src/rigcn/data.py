@@ -325,13 +325,15 @@ def load_manifest(path) -> DatasetSplit:
     """Read a dataset back from its manifest.
 
     Labels follow the first-appearance order of class names in the file, so
-    a save/load round trip preserves them.
+    a save/load round trip preserves them. A ``source_id`` may appear on one
+    line only, so no cloud is both trained on and evaluated.
     """
     manifest = Path(path)
     base = manifest.parent
     class_names: list[str] = []
     train: list[LabeledCloud] = []
     test: list[LabeledCloud] = []
+    seen: dict[str, int] = {}
     with open(manifest, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -345,6 +347,9 @@ def load_manifest(path) -> DatasetSplit:
             source_id, split_name, class_name, rel = row
             if split_name not in ("train", "test"):
                 raise ParseError(f"{manifest}: line {ln}: unknown split {split_name!r}")
+            first = seen.setdefault(source_id, ln)
+            if first != ln:
+                raise ParseError(f"{manifest}: line {ln}: source_id {source_id!r} repeats line {first}")
             if class_name not in class_names:
                 class_names.append(class_name)
             item = LabeledCloud(

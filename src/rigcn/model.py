@@ -169,17 +169,16 @@ class RiGcnModel:
         params: list[nnet.Parameter] = []
         for l, c in enumerate(channels):
             branch = c // 2
-            self.g1.append(nnet.init_mlp(nnet.MlpSpec((3, config.g_hidden, branch)), rng, f"l{l}.g1"))
+            self.g1.append(nnet.init_mlp((3, config.g_hidden, branch), rng, f"l{l}.g1"))
             if l == 0:  # over dilated-patch coordinates; checkpoints name it g2
-                h_spec, h_name = (3, config.g_hidden, branch), "l0.g2"
+                h_widths, h_name = (3, config.g_hidden, branch), "l0.g2"
             else:
-                h_spec, h_name = (channels[l - 1], branch, branch), f"l{l}.h"
-            self.h.append(nnet.init_mlp(nnet.MlpSpec(h_spec), rng, h_name))
-            self.f.append(nnet.init_mlp(nnet.MlpSpec((c, c, c)), rng, f"l{l}.f"))
+                h_widths, h_name = (channels[l - 1], branch, branch), f"l{l}.h"
+            self.h.append(nnet.init_mlp(h_widths, rng, h_name))
+            self.f.append(nnet.init_mlp((c, c, c), rng, f"l{l}.f"))
             self.gcn_w.append(nnet.init_parameter(f"l{l}.gcn", (c, c), rng))
             params += [*self.g1[l], *self.h[l], *self.f[l], self.gcn_w[l]]
-        clf_spec = nnet.MlpSpec((sum(channels), config.classifier_hidden, config.num_classes))
-        self.clf = nnet.init_mlp(clf_spec, rng, "clf")
+        self.clf = nnet.init_mlp((sum(channels), config.classifier_hidden, config.num_classes), rng, "clf")
         self._params = nnet.ParameterSet(params + self.clf)
 
     def parameters(self) -> nnet.ParameterSet:

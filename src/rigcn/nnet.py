@@ -1,26 +1,26 @@
-"""Minimal dense layers with reverse-mode gradients on float64 arrays.
+"""Minimal MLP and graph layers with reverse-mode gradients on float64 arrays.
 
 A forward pass builds a small DAG of ``Node`` objects; ``backward`` walks it
 in reverse topological order and accumulates gradients into ``Parameter``
 buffers. A node's optional ``upstream`` maps its gradient, once, to the
 array each of its vjps receives, so work they share (a ReLU mask,
-``A_hat.T @``) runs once and is freed as soon as they have run. A backward
-consumes its graph: once an interior node's vjps have passed its gradient
-on, the node drops that gradient, its parents and its upstream, so every
-array its vjps saved is freed after its last consumer has run. After a
-backward only ``Parameter`` gradients, leaf-node gradients and the values
-of nodes the caller still holds remain, and a second backward through the
-graph raises.
+``A_hat.T @``, an MLP's chain of layers) runs once and is freed as soon as
+they have run. A backward consumes its graph: once an interior node's vjps
+have passed its gradient on, the node drops that gradient, its parents and
+its upstream, so every array its vjps saved is freed after its last
+consumer has run. After a backward only ``Parameter`` gradients, leaf-node
+gradients and the values of nodes the caller still holds remain, and a
+second backward through the graph raises.
 
-The layer set is fixed: dense (affine, optionally followed by ReLU) and
-graph convolution (ReLU of a constant matrix times a linear map), each as
-one node, row/segment max pooling, a per-row MLP max-pooled per segment as
-one node, column concatenation, row gathering, and softmax cross-entropy.
+The layer set is fixed: a per-row MLP (affine layers with ReLU between
+them), the same MLP max-pooled per segment, and graph convolution (ReLU of
+a constant matrix times a linear map), each as one node; row/segment max
+pooling, column concatenation, row gathering, and softmax cross-entropy.
 
-A node keeps its value and what its vjps read. A pooled MLP node reads
-only its input and each segment's argmax rows, and its backward recomputes
-the hidden rows, so a graph holds no pooled branch's hidden or pre-pool
-rows.
+A node keeps its value and what its vjps read. An MLP node reads only its
+input, and a pooled MLP node its input and each segment's argmax rows; one
+helper recomputes the hidden rows and backpropagates the chain of layers
+for both, so a graph holds no hidden or pre-pool rows.
 
 A ``ParameterSet`` keeps a model's values and gradients in two flat
 buffers, which Adam updates in a few whole-buffer passes. The gradient
@@ -32,11 +32,12 @@ every ``Node`` keeps no parents and no upstream map, so each intermediate
 array is freed as soon as the next layer has consumed it, and the result
 cannot be differentiated.
 
-ReLU has one rule, used by ``dense`` and ``gcn_layer``: ``max(0, x)`` with
-+0.0 for every input that is not positive (-0.0, NaN and negatives
-included), and a subgradient of 0 at exactly 0. Its ``upstream`` masks
-the node's gradient with ``output > 0``, which holds exactly where the
-input was positive, so no caller may change a node's value in place.
+ReLU has one rule, used by ``mlp``, ``pooled_mlp`` and ``gcn_layer``:
+``max(0, x)`` with +0.0 for every input that is not positive (-0.0, NaN and
+negatives included), and a subgradient of 0 at exactly 0. Its gradient is
+masked with ``output > 0``, which holds exactly where the input was
+positive. The mask reads a node's value (``gcn_layer``) or rows recomputed
+from its input (the MLPs), so no caller may change a node's value in place.
 """
 
 from __future__ import annotations
@@ -221,32 +222,12 @@ def _relu(y: np.ndarray) -> None:
 
 
 def _affine(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray, activate: bool) -> np.ndarray:
-    """``dense``'s arithmetic: X @ W + b, then the ReLU rule when ``activate``."""
+    """One MLP layer: X @ W + b, then the ReLU rule when ``activate``."""
     y = xv @ wv
     y += bv
     if activate:
         _relu(y)
     return y
-
-
-def dense(w: Parameter, b: Parameter, x: Node, activate: bool) -> Node:
-    """Y = X @ W + b with a (1, c) bias row, then ReLU when ``activate``, as
-    one node over one array."""
-    xv, wv = x.value, w.value
-    if xv.shape[1] != wv.shape[0]:
-        raise ShapeError(f"dense: input shape {xv.shape} does not match weight shape {wv.shape}")
-    if b.value.shape != (1, wv.shape[1]):
-        raise ShapeError(f"bias shape {b.value.shape} does not match output width {wv.shape[1]}")
-    y = _affine(xv, wv, b.value, activate)
-    return Node(
-        y,
-        parents=(
-            (w, lambda u: xv.T @ u),
-            (b, lambda u: u.sum(axis=0, keepdims=True)),
-            (x, lambda u: u @ wv.T),
-        ),
-        upstream=(lambda g: g * (y > 0)) if activate else None,
-    )
 
 
 def maxpool_rows(x: Node) -> Node:
@@ -370,78 +351,91 @@ def cross_entropy(logits: Node, label: int) -> Node:
     return Node(np.float64(loss), parents=((logits, lambda g: g * grad),))
 
 
-@dataclass(frozen=True)
-class MlpSpec:
-    """Layer widths including the input width; hidden layers are
-    linear+ReLU, the final layer is linear."""
-
-    widths: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.widths) < 2 or any(w < 1 for w in self.widths):
-            raise ValueError(f"invalid MLP widths {self.widths}")
-
-
-def init_mlp(spec: MlpSpec, rng: np.random.Generator, prefix: str) -> list[Parameter]:
-    """Weight/bias pairs per layer; biases start at zero."""
+def init_mlp(widths: tuple[int, ...], rng: np.random.Generator, prefix: str) -> list[Parameter]:
+    """Weight/bias pairs for an MLP with layer ``widths``, the input width
+    first; biases start at zero."""
+    if len(widths) < 2 or any(w < 1 for w in widths):
+        raise ValueError(f"invalid MLP widths {tuple(widths)}")
     params: list[Parameter] = []
-    for i, (a, b) in enumerate(zip(spec.widths, spec.widths[1:])):
+    for i, (a, b) in enumerate(zip(widths, widths[1:])):
         params.append(init_parameter(f"{prefix}.w{i}", (a, b), rng))
         params.append(Parameter(f"{prefix}.b{i}", np.zeros((1, b)), np.zeros((1, b))))
     return params
 
 
+def _mlp_layers(params: list[Parameter], width: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (W, b) values of each layer, checked to chain from an input
+    ``width`` columns wide."""
+    layers = [(w.value, b.value) for w, b in zip(params[0::2], params[1::2])]
+    for i, (wv, bv) in enumerate(layers):
+        if wv.shape[0] != width or bv.shape != (1, wv.shape[1]):
+            raise ShapeError(f"mlp layer {i}: weight {wv.shape} and bias {bv.shape} do not fit {width} inputs")
+        width = wv.shape[1]
+    return layers
+
+
+def _layer_inputs(layers, xv: np.ndarray) -> list[np.ndarray]:
+    """Each layer's input: ``xv``, then the rows of every hidden layer."""
+    ins = [xv]
+    for wv, bv in layers[:-1]:
+        ins.append(_affine(ins[-1], wv, bv, True))
+    return ins
+
+
+def _mlp_backward(layers, xv: np.ndarray, u: np.ndarray) -> list[np.ndarray]:
+    """The gradients of an MLP's W and b, layer by layer, then of its input,
+    from ``u``, the gradient of its output rows. The hidden rows are
+    recomputed from ``xv`` bit for bit, and each hidden layer's gradient
+    gets ``backward``'s ``+ 0.0``, so every gradient has the bits that a
+    chain of one node per layer would give it."""
+    ins = _layer_inputs(layers, xv)
+    grads = [None] * (2 * len(layers) + 1)
+    for i in reversed(range(len(layers))):
+        grads[2 * i] = ins[i].T @ u
+        grads[2 * i + 1] = u.sum(axis=0, keepdims=True)
+        u = u @ layers[i][0].T
+        if i:
+            u += 0.0
+            u *= ins.pop() > 0  # the ReLU mask of layer i - 1
+    grads[-1] = u
+    return grads
+
+
 def mlp(params: list[Parameter], x: Node) -> Node:
-    """Affine layers with ReLU between them; the final layer stays linear."""
-    pairs = list(zip(params[0::2], params[1::2]))
-    for i, (w, b) in enumerate(pairs):
-        x = dense(w, b, x, activate=i < len(pairs) - 1)
-    return x
+    """Affine layers with the ReLU rule between them, the final layer
+    linear, as one node.
+
+    The node keeps only its input; the hidden rows are freed once the next
+    layer has read them, and its backward recomputes them. Every parameter
+    and the input (a constant too) gets its gradient.
+    """
+    xv = x.value
+    layers = _mlp_layers(params, xv.shape[1])
+    y = _affine(_layer_inputs(layers, xv)[-1], *layers[-1], False)
+    parents = tuple((node, operator.itemgetter(i)) for i, node in enumerate([*params, x]))
+    return Node(y, parents, upstream=lambda g: _mlp_backward(layers, xv, g))
 
 
 def pooled_mlp(params: list[Parameter], x: Node, offsets: np.ndarray) -> Node:
     """``segment_maxpool(mlp(params, x), offsets)`` as one node: a per-row
     MLP, max-pooled over each contiguous segment of rows.
 
-    The node keeps its input and, per segment and column, the row that held
-    the max (ties to the lowest row, as ``segment_maxpool`` routes them); the
-    hidden and pre-pool rows are freed once pooled. Its backward recomputes
-    the hidden rows from the input with ``dense``'s arithmetic, then runs the
-    vjps of ``segment_maxpool`` and of each ``dense``, with ``backward``'s
-    ``+ 0.0`` for each interior node, so every gradient has the bits the
-    chain of nodes would give it. Every parameter and the input (a constant
-    too) gets its gradient.
+    The node has the ``mlp`` node's parents and keeps its input and, per
+    segment and column, the row that held the max (ties to the lowest row,
+    as ``segment_maxpool`` routes them); the pre-pool rows are freed once
+    pooled. Its backward scatters its gradient to those rows, with
+    ``backward``'s ``+ 0.0``, and runs the ``mlp`` node's backward on it.
     """
-    if not _grad_enabled:
-        return segment_maxpool(mlp(params, x), offsets)
+    offsets = np.asarray(offsets)
+    pre = mlp(params, x)
     with no_grad():
-        pre = mlp(params, x)
         out = segment_maxpool(pre, offsets)
-    argrows = _segment_argmax(pre.value, out.value, np.asarray(offsets))
-    n = len(pre.value)
+    if not _grad_enabled:
+        return out
+    argrows = _segment_argmax(pre.value, out.value, offsets)
+    n, parents, chain = len(pre.value), pre.parents, pre.upstream
     del pre
-    xv = x.value
-    layers = [(w.value, b.value) for w, b in zip(params[0::2], params[1::2])]
-
-    def upstream(g):
-        # ins[i] is layer i's input, recomputed bit for bit.
-        ins = [xv]
-        for wv, bv in layers[:-1]:
-            ins.append(_affine(ins[-1], wv, bv, True))
-        u = _scatter_rows(argrows, g + 0.0, n)
-        grads = [None] * (len(params) + 1)
-        for i in reversed(range(len(layers))):
-            grads[2 * i] = ins[i].T @ u
-            grads[2 * i + 1] = u.sum(axis=0, keepdims=True)
-            u = u @ layers[i][0].T
-            if i:
-                u += 0.0
-                u *= ins.pop() > 0  # the ReLU mask of layer i - 1
-        grads[-1] = u
-        return grads
-
-    parents = tuple((node, operator.itemgetter(i)) for i, node in enumerate([*params, x]))
-    return Node(out.value, parents, upstream)
+    return Node(out.value, parents, upstream=lambda g: chain(_scatter_rows(argrows, g + 0.0, n)))
 
 
 @dataclass
@@ -505,7 +499,8 @@ def gradient_check_blocks(loss_fn, params: list[Parameter], eps: float = 1e-6) -
     """Central finite differences vs. analytic gradients, per parameter.
 
     ``loss_fn`` must rebuild the forward graph from the current parameter
-    values and return the scalar loss node. Relative error is
+    values and return the scalar loss node; the finite-difference forwards
+    run under ``no_grad()``, so they build no graph. Relative error is
     |a - f| / max(1, |a|, |f|), maximized over the entries of each block.
     """
     for p in params:
@@ -519,10 +514,11 @@ def gradient_check_blocks(loss_fn, params: list[Parameter], eps: float = 1e-6) -
         worst = 0.0
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
-            loss_plus = float(loss_fn().value)
-            flat[i] = orig - eps
-            loss_minus = float(loss_fn().value)
+            with no_grad():
+                flat[i] = orig + eps
+                loss_plus = float(loss_fn().value)
+                flat[i] = orig - eps
+                loss_minus = float(loss_fn().value)
             flat[i] = orig
             fd = (loss_plus - loss_minus) / (2.0 * eps)
             a = a_flat[i]

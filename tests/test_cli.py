@@ -319,6 +319,20 @@ class TestTrain:
         assert "cube_0000" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_manifest_source_exits_2_before_training(self, tmp_path, capsys):
+        manifest = manifest_with_edited_cloud(tmp_path, "cube_0000", lambda lines: lines)
+        rows = manifest.read_text().splitlines(keepends=True)
+        # cube_0000 is a train cloud; list it again as a test cloud.
+        (line,) = [i for i, row in enumerate(rows, start=1) if row.startswith("cube_0000,")]
+        manifest.write_text("".join(rows) + rows[line - 1].replace(",train,", ",test,"))
+        cfg = write_config(tmp_path, name="cfg2.json", dataset={"kind": "manifest", "path": str(manifest)})
+        capsys.readouterr()  # gen-data's report
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"line {len(rows) + 1}: source_id 'cube_0000' repeats line {line}" in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_nonfinite_manifest_cloud_exits_2_before_training(self, tmp_path, capsys):
         manifest = manifest_with_edited_cloud(tmp_path, "cube_0000", lambda lines: ["nan 0 0\n"] + lines[1:])
         cfg = write_config(tmp_path, name="cfg2.json", dataset={"kind": "manifest", "path": str(manifest)})
@@ -750,10 +764,10 @@ class TestGradcheck:
             assert sum(1 for line in lines if line.startswith(name + " ")) == 1
 
     # gcn_layer carries the GCN weights, pooled_mlp the per-point branch
-    # weights and dense the other MLP weights; each keeps its (first) weight
-    # as parents[0]. The layers a pooled branch runs inside no_grad() keep
-    # no parents, so there is nothing to corrupt.
-    @pytest.mark.parametrize("layer", ["gcn_layer", "dense", "pooled_mlp"])
+    # weights and mlp the other MLP weights; each keeps its (first) weight
+    # as parents[0]. A corrupted mlp corrupts the pooled branches too, whose
+    # nodes take the mlp node's parents.
+    @pytest.mark.parametrize("layer", ["gcn_layer", "mlp", "pooled_mlp"])
     def test_corrupted_backward_fails_with_exit_1(self, monkeypatch, layer):
         original = getattr(nnet, layer)
 
@@ -767,6 +781,12 @@ class TestGradcheck:
 
         monkeypatch.setattr(nnet, layer, corrupted)
         assert cli.main(["gradcheck"]) == 1
+
+    def test_negative_seed_without_a_config_exits_2(self, capsys):
+        assert cli.main(["gradcheck", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be >= 0, got -1" in captured.err
 
 
 class TestGenData:
@@ -898,8 +918,8 @@ class TestBenchmarkHooks:
         }
         # Inference builds no graph, so each forward is one DAG node.
         assert eval_counts == {**{k: n * v for k, v in per_cloud.items()}, "dag_nodes": n}
-        # Training keeps the 30-node graph of a desk forward.
-        assert recorder.counts == {**{k: 2 * n * v for k, v in per_cloud.items()}, "dag_nodes": n * (1 + 30)}
+        # Training keeps the 26-node graph of a desk forward.
+        assert recorder.counts == {**{k: 2 * n * v for k, v in per_cloud.items()}, "dag_nodes": n * (1 + 26)}
         names = {span[0] for span in recorder.spans}
         assert {"model.forward", "geom.fps", "graph.build", "nnet.backward"} <= names
 

@@ -297,6 +297,15 @@ class TestManifest:
         with pytest.raises(data.ParseError, match="line 1"):
             data.load_manifest(path)
 
+    @pytest.mark.parametrize("splits", [("train", "train"), ("train", "test")])
+    def test_repeated_source_id_rejected(self, tmp_path, splits):
+        data.write_xyz(np.zeros((4, 3)), tmp_path / "x.xyz")
+        rows = [f"x,{split},sphere,x.xyz\n" for split in splits]
+        path = tmp_path / "manifest.csv"
+        path.write_text("source_id,split,class_name,path\n" + "".join(rows))
+        with pytest.raises(data.ParseError, match="line 3: source_id 'x' repeats line 2"):
+            data.load_manifest(path)
+
     def test_unknown_split_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("source_id,split,class_name,path\nx,holdout,sphere,x.xyz\n")

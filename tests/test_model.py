@@ -500,13 +500,13 @@ class TestGraphFreeLogits:
         assert [dag_size(r) for r in roots] == [1]
 
     def test_desk_forward_node_count_is_pinned(self):
-        # Per level: 7 descriptor nodes (two branch inputs, two pooled MLP
-        # branches, their concatenation and two fusion layers), the graph
+        # Per level: 6 descriptor nodes (two branch inputs, two pooled MLP
+        # branches, their concatenation and the fusion MLP), the graph
         # convolution and its pool; then the summary concatenation and the
-        # two classifier layers.
+        # classifier MLP.
         desk = cli.load_experiment_config(ROOT / "configs" / "desk.json").model
         out = model.forward(model.RiGcnModel(desk), random_cloud(0, desk.num_points))
-        assert dag_size(out) == 30
+        assert dag_size(out) == 26
 
     def test_a_rejected_cloud_leaves_graph_mode_on(self, cloud, tiny_model):
         size = dag_size(model.forward(tiny_model, cloud))

@@ -36,9 +36,19 @@ def relu_reference(x):
 
 
 def dense_reference(w, b, x, activate):
-    """The oracle for ``nnet.dense``: linear, bias and ReLU as three nodes."""
+    """The oracle for one layer of ``nnet.mlp``: linear, bias and ReLU as
+    three nodes."""
     y = add_bias_reference(linear_reference(w, x), b)
     return relu_reference(y) if activate else y
+
+
+def mlp_reference(params, x):
+    """The oracle for ``nnet.mlp``: one ``dense_reference`` per layer, each
+    but the last followed by ReLU."""
+    pairs = list(zip(params[0::2], params[1::2]))
+    for i, (w, b) in enumerate(pairs):
+        x = dense_reference(w, b, x, activate=i < len(pairs) - 1)
+    return x
 
 
 def gcn_reference(a_hat, x, w):
@@ -64,8 +74,8 @@ def segment_maxpool_vjp_reference(v, offsets, g):
 
 def pooled_mlp_reference(params, x, offsets):
     """The oracle for ``nnet.pooled_mlp``: the chain of nodes it replaces,
-    one ``dense`` per layer and then ``segment_maxpool``."""
-    return nnet.segment_maxpool(nnet.mlp(params, x), offsets)
+    ``mlp_reference`` and then ``segment_maxpool``."""
+    return nnet.segment_maxpool(mlp_reference(params, x), offsets)
 
 
 def backward_keeping_every_grad(root, g=None):
@@ -89,7 +99,7 @@ def backward_keeping_every_grad(root, g=None):
 def init_mlp_with_biases(widths, seed):
     """``nnet.init_mlp`` parameters whose biases are drawn too."""
     rng = np.random.default_rng(seed)
-    params = nnet.init_mlp(nnet.MlpSpec(widths), rng, "m")
+    params = nnet.init_mlp(widths, rng, "m")
     for bias in params[1::2]:
         bias.value[...] = rng.normal(size=bias.value.shape)
     return params
@@ -159,9 +169,13 @@ class TestLinear:
 
 
 class TestDense:
+    """``mlp``'s layers: a one-layer (linear) and a two-layer (ReLU, then
+    linear) MLP against chains of ``dense_reference`` nodes."""
+
     def _inputs(self):
-        """Inputs with -0.0 entries whose pre-activations hold exact zeros
-        and NaN, and an upstream gradient with zeros of both signs."""
+        """Inputs with -0.0 entries whose first-layer pre-activations hold
+        exact zeros and NaN, a second layer, and an upstream gradient with
+        zeros of both signs."""
         rng = np.random.default_rng(13)
         x = rng.normal(size=(6, 3))
         x[0] = [-0.0, 0.0, -0.0]
@@ -171,28 +185,33 @@ class TestDense:
         b[0, 0] = -0.0
         # Row 2, column 1 cancels exactly: X @ W + b is 0.0 there.
         b[0, 1] = -(x @ w)[2, 1]
+        w2, b2 = rng.normal(size=(4, 4)), rng.normal(size=(1, 4))
         upstream = rng.normal(size=(6, 4))
         upstream[3] = [0.0, -0.0, 0.0, -0.0]
-        return x, w, b, upstream
+        return x, [w, b, w2, b2], upstream
 
     @staticmethod
-    def _fused_and_chained(x, w, b, upstream, activate):
-        """(value, w, b and x gradients) pairs from ``dense`` and its oracle."""
+    def _fused_and_chained(x, values, upstream, two_layers):
+        """(value, parameter gradients..., input gradient) pairs from ``mlp``
+        and its chain of ``dense_reference`` nodes; the one-layer MLP takes
+        the first weight and bias only."""
         runs = []
-        for layer in (nnet.dense, dense_reference):
-            wp, bp, xn = make_param("w", w), make_param("b", b), nnet.constant(x)
-            y = layer(wp, bp, xn, activate)
+        for layer in (nnet.mlp, mlp_reference):
+            params = [make_param(f"p{i}", v) for i, v in enumerate(values[: 4 if two_layers else 2])]
+            xn = nnet.constant(x)
+            y = layer(params, xn)
             root = nnet.Node(np.float64(0.0), parents=((y, lambda g: g * upstream),))
             nnet.backward(root)
-            runs.append((y.value, wp.grad, bp.grad, xn.grad))
+            runs.append((y.value, *(p.grad for p in params), xn.grad))
         return zip(*runs)
 
-    @pytest.mark.parametrize("activate", [True, False])
-    def test_matches_the_three_node_chain_bitwise(self, activate):
-        x, w, b, upstream = self._inputs()
+    @pytest.mark.parametrize("two_layers", [True, False])
+    def test_matches_the_three_node_chain_bitwise(self, two_layers):
+        x, values, upstream = self._inputs()
+        w, b = values[:2]
         pre = x @ w + b
         assert pre[0, 0] == pre[2, 1] == 0.0 and np.isnan(pre[1]).all() and (pre > 0).any()
-        for fused, chained in self._fused_and_chained(x, w, b, upstream, activate):
+        for fused, chained in self._fused_and_chained(x, values, upstream, two_layers):
             np.testing.assert_array_equal(fused, chained)
             np.testing.assert_array_equal(np.signbit(fused), np.signbit(chained))
 
@@ -200,26 +219,33 @@ class TestDense:
         arrays(np.float64, (3, 2), elements=ANY_FLOAT),
         arrays(np.float64, (2, 4), elements=ANY_FLOAT),
         arrays(np.float64, (1, 4), elements=ANY_FLOAT),
+        arrays(np.float64, (4, 4), elements=ANY_FLOAT),
+        arrays(np.float64, (1, 4), elements=ANY_FLOAT),
         arrays(np.float64, (3, 4), elements=ANY_FLOAT),
         st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_any_floats_match_the_reference_bit_for_bit(self, x, w, b, upstream, activate):
+    def test_any_floats_match_the_reference_bit_for_bit(self, x, w, b, w2, b2, upstream, two_layers):
         with np.errstate(all="ignore"):
-            pairs = list(self._fused_and_chained(x, w, b, upstream, activate))
+            pairs = list(self._fused_and_chained(x, [w, b, w2, b2], upstream, two_layers))
         for fused, chained in pairs:
             np.testing.assert_array_equal(bits(fused), bits(chained))
 
     def test_shape_mismatches_are_rejected(self):
         x = nnet.constant(np.zeros((2, 3)))
-        with pytest.raises(nnet.ShapeError, match=r"\(2, 3\).*\(2, 4\)"):
-            nnet.dense(make_param("w", np.zeros((2, 4))), make_param("b", np.zeros((1, 4))), x, True)
-        with pytest.raises(nnet.ShapeError, match="bias"):
-            nnet.dense(make_param("w", np.zeros((3, 4))), make_param("b", np.zeros((1, 3))), x, True)
+        with pytest.raises(nnet.ShapeError, match=r"layer 0: weight \(2, 4\) .* fit 3 inputs"):
+            nnet.mlp([make_param("w", np.zeros((2, 4))), make_param("b", np.zeros((1, 4)))], x)
+        with pytest.raises(nnet.ShapeError, match=r"bias \(1, 3\)"):
+            nnet.mlp([make_param("w", np.zeros((3, 4))), make_param("b", np.zeros((1, 3)))], x)
+        # The second layer is checked against the first layer's output.
+        params = [make_param("w", np.zeros((3, 4))), make_param("b", np.zeros((1, 4))),
+                  make_param("w1", np.zeros((5, 2))), make_param("b1", np.zeros((1, 2)))]
+        with pytest.raises(nnet.ShapeError, match=r"layer 1: weight \(5, 2\) .* fit 4 inputs"):
+            nnet.mlp(params, x)
 
 
 class TestRelu:
-    """The ReLU rule that ``dense`` and ``gcn_layer`` apply in place; their
+    """The ReLU rule that ``mlp`` and ``gcn_layer`` apply in place; their
     gradient masks are compared with ``relu_reference`` in TestDense and
     TestGcnLayer."""
 
@@ -256,14 +282,14 @@ class TestNoGrad:
         x = nnet.constant(np.random.default_rng(4).normal(size=(4, 3)))
         w, b = make_param("w", np.ones((3, 2))), make_param("b", np.zeros((1, 2)))
         return [
-            nnet.dense(w, b, x, True),
+            nnet.mlp(init_mlp_with_biases((3, 5, 2), 3), x),
             nnet.maxpool_rows(x),
             nnet.segment_maxpool(x, np.array([0, 2, 4])),
             nnet.concat_cols([x, x]),
             nnet.gather_rows(x, [0, 0, 3]),
             nnet.pooled_mlp(init_mlp_with_biases((3, 5, 2), 4), x, np.array([0, 1, 4])),
             nnet.gcn_layer(np.eye(4), x, make_param("g", np.ones((3, 3)))),
-            nnet.cross_entropy(nnet.dense(w, b, nnet.constant(x.value[:1]), False), 1),
+            nnet.cross_entropy(nnet.mlp([w, b], nnet.constant(x.value[:1])), 1),
         ]
 
     def test_nodes_keep_no_parents(self):
@@ -294,32 +320,34 @@ class TestBackward:
     def test_each_upstream_is_applied_once(self):
         x = nnet.constant(np.random.default_rng(5).normal(size=(4, 3)))
         w, b = make_param("w", np.ones((3, 3))), make_param("b", np.zeros((1, 3)))
-        hidden = nnet.dense(w, b, x, True)
+        hidden = nnet.mlp([w, b], x)
         out = nnet.gcn_layer(np.eye(4), hidden, make_param("g", np.ones((3, 2))))
         calls = {}
-        for name, node in (("dense", hidden), ("gcn_layer", out)):
+        for name, node in (("mlp", hidden), ("gcn_layer", out)):
             def counted(g, name=name, inner=node.upstream):
                 calls[name] = calls.get(name, 0) + 1
                 return inner(g)
 
             node.upstream = counted
         nnet.backward(nnet.cross_entropy(nnet.maxpool_rows(out), 1))
-        assert calls == {"dense": 1, "gcn_layer": 1}
+        assert calls == {"mlp": 1, "gcn_layer": 1}
 
     @staticmethod
     def _shared_input_graph():
-        """A loss over a ReLU layer that feeds two consumers, a row gather
-        and a graph convolution, with its leaf input and parameters."""
+        """A loss over a two-layer MLP that feeds two consumers, a row
+        gather and a graph convolution, and then a one-layer MLP, with its
+        leaf input and parameters."""
         rng = np.random.default_rng(9)
         x = nnet.constant(rng.normal(size=(5, 3)))
         w, b = make_param("w", rng.normal(size=(3, 4))), make_param("b", rng.normal(size=(1, 4)))
+        w1, b1 = make_param("w1", rng.normal(size=(4, 4))), make_param("b1", rng.normal(size=(1, 4)))
         g = make_param("g", rng.normal(size=(4, 4)))
         c, cb = make_param("c", rng.normal(size=(8, 3))), make_param("cb", np.zeros((1, 3)))
         a_hat = np.abs(rng.normal(size=(5, 5)))
-        hidden = nnet.dense(w, b, x, True)
+        hidden = nnet.mlp([w, b, w1, b1], x)
         both = nnet.concat_cols([nnet.gather_rows(hidden, [0, 0, 3, 4, 1]), nnet.gcn_layer(a_hat, hidden, g)])
         pooled = nnet.maxpool_rows(nnet.segment_maxpool(both, np.array([0, 2, 5])))
-        return x, [w, b, g, c, cb], nnet.cross_entropy(nnet.dense(c, cb, pooled, False), 1)
+        return x, [w, b, w1, b1, g, c, cb], nnet.cross_entropy(nnet.mlp([c, cb], pooled), 1)
 
     def test_matches_a_backward_that_keeps_every_gradient(self):
         x, params, loss = self._shared_input_graph()
@@ -853,13 +881,28 @@ class TestGradientCheck:
 
     def test_two_layer_mlp(self):
         rng = np.random.default_rng(9)
-        params = nnet.init_mlp(nnet.MlpSpec((3, 8, 2)), rng, "mlp")
+        params = nnet.init_mlp((3, 8, 2), rng, "mlp")
         x = rng.normal(size=(5, 3)) + 0.5
 
         def loss_fn():
             return nnet.cross_entropy(nnet.maxpool_rows(nnet.mlp(params, nnet.constant(x))), 1)
 
         assert worst_gradient_error(loss_fn, params) <= 1e-5
+
+    def test_finite_difference_forwards_build_no_graph(self):
+        params = init_mlp_with_biases((3, 4, 2), 11)
+        x = np.random.default_rng(11).normal(size=(5, 3))
+        built = []
+
+        def loss_fn():
+            loss = nnet.cross_entropy(nnet.maxpool_rows(nnet.mlp(params, nnet.constant(x))), 1)
+            built.append(bool(loss.parents))
+            return loss
+
+        errors = nnet.gradient_check_blocks(loss_fn, params, eps=1e-6)
+        # One graph for the analytic gradients, then two forwards per entry.
+        assert built == [True] + [False] * (2 * sum(p.value.size for p in params))
+        assert max(errors.values()) <= 1e-5
 
     def test_gather_and_concat_ops(self):
         rng = np.random.default_rng(10)
@@ -877,24 +920,36 @@ class TestGradientCheck:
 
 class TestMlp:
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            nnet.MlpSpec((3,))
-        with pytest.raises(ValueError):
-            nnet.MlpSpec((3, 0))
+        for widths in ((3,), (3, 0)):
+            with pytest.raises(ValueError, match="invalid MLP widths"):
+                nnet.init_mlp(widths, np.random.default_rng(0), "m")
 
     def test_init_is_reproducible_and_bounded(self):
-        a = nnet.init_mlp(nnet.MlpSpec((4, 8, 2)), np.random.default_rng(3), "m")
-        b = nnet.init_mlp(nnet.MlpSpec((4, 8, 2)), np.random.default_rng(3), "m")
+        a = nnet.init_mlp((4, 8, 2), np.random.default_rng(3), "m")
+        b = nnet.init_mlp((4, 8, 2), np.random.default_rng(3), "m")
         for pa, pb in zip(a, b):
             np.testing.assert_array_equal(pa.value, pb.value)
         bound = np.sqrt(6.0 / (4 + 8))
         assert np.abs(a[0].value).max() <= bound
 
     def test_bias_shifts_output(self):
-        params = nnet.init_mlp(nnet.MlpSpec((2, 2)), np.random.default_rng(0), "m")
+        params = nnet.init_mlp((2, 2), np.random.default_rng(0), "m")
         params[1].value[...] = [[10.0, -10.0]]
         out = nnet.mlp(params, nnet.constant([[0.0, 0.0]]))
         np.testing.assert_array_equal(out.value, [[10.0, -10.0]])
+
+    def test_the_node_keeps_only_its_input(self):
+        params = init_mlp_with_biases((3, 64, 64, 8), 7)
+        x = nnet.constant(np.random.default_rng(21).normal(size=(4000, 3)))
+        tracemalloc.start()
+        try:
+            y = nnet.mlp(params, x)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert [target for target, _ in y.parents] == [*params, x]
+        # The output rows: 256 KB. Each hidden layer's rows alone would be 2 MB.
+        assert kept < y.value.nbytes + 64 * 1024
 
 
 class TestCheckpoint:
