@@ -327,8 +327,9 @@ def cmd_invariance_check(cfg: ExperimentConfig, args) -> int:
         rot = geom.random_rotation(rng, "so3")
         base = model_mod.logits(net, pts)
         rotated = model_mod.logits(net, geom.rotate(pts, rot))
-        deviation = float(np.abs(base - rotated).max() / (1.0 + np.abs(base).max()))
-        worst = max(worst, deviation)
+        with np.errstate(invalid="ignore"):  # an infinite logit yields a NaN deviation
+            deviation = float(np.abs(base - rotated).max() / (1.0 + np.abs(base).max()))
+        worst = float(np.maximum(worst, deviation))  # unlike max(), keeps a NaN
         top2 = np.sort(base)[-2:] if base.size > 1 else None
         margin = float(top2[1] - top2[0]) if top2 is not None else np.inf
         if margin > 1e-4 and np.argmax(base) != np.argmax(rotated):
@@ -429,7 +430,7 @@ def cmd_gradcheck(cfg: ExperimentConfig, args) -> int:
     print(f"{'parameter':24s} {'max rel error':>14s}")
     for name, err in errors.items():
         print(f"{name:24s} {err:14.3e}")
-    worst_name = max(errors, key=errors.get)
+    worst_name = max(errors, key=lambda name: np.nan_to_num(errors[name], nan=np.inf))
     worst = errors[worst_name]
     if worst <= 1e-5:
         print(f"gradient check PASSED (worst {worst:.3e} in {worst_name})")

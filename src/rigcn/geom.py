@@ -23,6 +23,7 @@ MOMENT_TOL = 1e-12
 _PARTITION_ENTRIES = 8192
 
 _COORD_AXES = np.eye(3)
+_TRIL = np.tril_indices(3)  # (rows, columns) of a 3x3 lower triangle
 
 
 class DegeneratePatchError(ValueError):
@@ -92,18 +93,23 @@ def canonical_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
 
 
+def _summands(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of the planar (3, ...) ``diff`` in ``_sum_of_squares`` order."""
+    return diff[0], diff[2], diff[1]
+
+
 def _sum_of_squares(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Squared lengths of the planar (3, ...) differences ``diff``, which
     are squared in place.
 
-    The sum is taken as ``(dx**2 + dz**2) + dy**2``, the order in which
+    The sum is taken as ``(dx**2 + dz**2) + dy**2`` (``_summands``), as
     numpy's ``einsum("ij,ij->i")`` adds a length-3 axis: the two agreed
     bitwise on 100k random rows and on every benchmark cloud, so distances,
     and the logits built on them, round exactly as with that einsum.
     """
-    np.multiply(diff, diff, out=diff)
-    out = np.add(diff[0], diff[2], out=out)
-    out += diff[1]
+    first, second, third = _summands(np.multiply(diff, diff, out=diff))
+    out = np.add(first, second, out=out)
+    out += third
     return out
 
 
@@ -136,7 +142,9 @@ def farthest_point_sampling(
     (``picks == order[pos]``): ``rows[i, c]`` is the squared distance from
     ``points[picks[i]]`` to ``points[order[c]]``. Given ``block``, the
     points' own (N, N) squared distances in input order, the rows are read
-    from it and no distance between two points is computed.
+    from it and no distance between two points is computed. The loop binds
+    the point columns and the ``_summands`` rows once, so a computed row is
+    one subtract, multiply and two adds, then minimum, mask and argmax.
     """
     pts = as_cloud(points)
     n = len(pts)
@@ -147,20 +155,24 @@ def farthest_point_sampling(
     cp = pts[order]
     planar = np.ascontiguousarray(cp.T)
     diff = planar - cp.mean(axis=0)[:, None]
-    current = int(_sum_of_squares(diff).argmax())
+    current = _sum_of_squares(diff).argmax()
+    columns = cp[:, :, None]  # columns[c] is planar[:, c, None]
+    first, second, third = _summands(diff)
     pos = np.empty(m, dtype=np.int64)
     rows = np.empty((m, n))
     min_d2 = np.full(n, np.inf)
     for i, row in enumerate(rows):
         pos[i] = current
         if block is None:
-            np.subtract(planar, planar[:, current, None], out=diff)
-            _sum_of_squares(diff, out=row)
+            np.subtract(planar, columns[current], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add(first, second, out=row)
+            row += third
         else:
             np.take(block[order[current]], order, out=row)
         np.minimum(min_d2, row, out=min_d2)
         min_d2[current] = -np.inf
-        current = int(min_d2.argmax())
+        current = min_d2.argmax()
     return order[pos], rows, pos
 
 
@@ -256,6 +268,8 @@ def lrf_axes_batch(
     ``flat_points[offsets[i]:offsets[i + 1]]`` and belongs to ``anchors[i]``.
     Returns an (M, 3, 3) stack of right-handed orthonormal axis matrices,
     eigenvalue-descending, sign-disambiguated by third central moments.
+    ``np.linalg.eigh`` reads only the covariance's lower triangle, so only
+    it is summed; the third axis is ``np.cross``'s own arithmetic, inlined.
     """
     counts = np.diff(offsets)
     if np.any(counts < 3):
@@ -267,9 +281,9 @@ def lrf_axes_batch(
     seg_ids = np.repeat(np.arange(m), counts)
     mu = np.add.reduceat(flat_points, starts, axis=0) / counts[:, None]
     centered = flat_points - mu[seg_ids]
-    outers = centered[:, :, None] * centered[:, None, :]
-    cov = np.add.reduceat(outers.reshape(-1, 9), starts, axis=0).reshape(m, 3, 3)
-    cov /= counts[:, None, None]
+    outers = centered[:, _TRIL[0]] * centered[:, _TRIL[1]]
+    cov = np.zeros((m, 3, 3))
+    cov[:, _TRIL[0], _TRIL[1]] = np.add.reduceat(outers, starts, axis=0) / counts[:, None]
     evals, evecs = np.linalg.eigh(cov)
     evals = evals[:, ::-1]
     evecs = evecs[:, :, ::-1]
@@ -281,7 +295,8 @@ def lrf_axes_batch(
     signs = _axis_signs(moments, fallback)
 
     axes = evecs * signs[:, None, :]
-    axes[:, :, 2] = np.cross(axes[:, :, 0], axes[:, :, 1], axis=1)
+    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = axes.transpose(1, 2, 0)
+    c0[...], c1[...], c2[...] = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
     gap12 = evals[:, 0] - evals[:, 1]
     gap23 = evals[:, 1] - evals[:, 2]

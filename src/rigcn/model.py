@@ -290,7 +290,8 @@ def _next_level(
     and its projection feeds ``h``; above a level each anchor keeps its axes,
     never recomputed, and ``h`` runs over the previous level's feature rows
     of the plain patch. Both branches are max-pooled per anchor,
-    concatenated and fused by ``f``.
+    concatenated and fused by ``f``. A draw of d = 1 for every anchor (a
+    deterministic desk forward) gathers and projects only the plain patch.
     """
     cfg = model.config
     level = prev.level + 1
@@ -305,18 +306,19 @@ def _next_level(
     # generator's stream, and so every stochastic forward and trained
     # checkpoint, as it has been.
     ds = draw_interval(cfg.d_range, m, rng if cfg.stochastic_d else None)
-    dilations = (1, ds) if prev.features is None else (1,)
+    dilations = (1, ds) if prev.features is None and (ds != 1).any() else (1,)
     off, (flat, *dilated) = _gather_patches(d2, prev.order, pos, ks, dilations)
     del d2  # the (m, N) rows are spent; the frames and MLPs run without them
+    wide = dilated[0] if dilated else flat  # d = 1 throughout dilates nothing
     if prev.axes is not None:
         axes = prev.axes[sel]
     elif cfg.transform_scope == "global":
         axes = np.broadcast_to(np.eye(3), (m, 3, 3)).copy()
     else:
-        axes = geom.lrf_axes_batch(prev.points[dilated[0]], off, anchors)
+        axes = geom.lrf_axes_batch(prev.points[wide], off, anchors)
     proj = _project_segments(prev.points, flat, off, anchors, axes)
     if prev.features is None:
-        second = nnet.constant(_project_segments(prev.points, dilated[0], off, anchors, axes))
+        second = nnet.constant(_project_segments(prev.points, wide, off, anchors, axes) if dilated else proj)
     else:
         second = nnet.gather_rows(prev.features, flat)
     h1 = nnet.pooled_mlp(model.g1[level], nnet.constant(proj), off)

@@ -522,8 +522,8 @@ def gradient_check_blocks(loss_fn, params: list[Parameter], eps: float = 1e-6) -
             flat[i] = orig
             fd = (loss_plus - loss_minus) / (2.0 * eps)
             a = a_flat[i]
-            worst = max(worst, abs(a - fd) / max(1.0, abs(a), abs(fd)))
-        errors[p.name] = worst
+            worst = np.maximum(worst, abs(a - fd) / max(1.0, abs(a), abs(fd)))  # keeps a NaN
+        errors[p.name] = float(worst)
         p.zero_grad()
     return errors
 
@@ -561,7 +561,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     The header is checked against the file's size before any parameter is
     read: the byte count it declares (computed with Python ints, so no
     shape overflows) must equal the bytes that follow it, and no name may
-    appear twice.
+    appear twice. A parameter holding a NaN or an infinity raises.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -608,4 +608,6 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             shape = tuple(entry["shape"])
             raw = fh.read(8 * math.prod(shape))
             values[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(values[entry["name"]]).all():
+                raise ValueError(f"checkpoint parameter {entry['name']!r} holds non-finite values: {path}")
     return header["config"], values

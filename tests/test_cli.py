@@ -531,6 +531,24 @@ class TestEvaluate:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "robustness", "invariance-check", "export-graphs"])
+def test_non_finite_checkpoint_exits_2_before_writing(trained, tmp_path, capsys, command):
+    net = model.load_model(trained[1])
+    {p.name: p for p in net.parameters()}["clf.b1"].value[0, 1] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    model.save_model(net, bad)
+    cfg = write_config(tmp_path)
+    argv = [command, "--config", str(cfg), "--checkpoint", str(bad)]
+    if command == "export-graphs":
+        cloud_path = tmp_path / "cloud.xyz"
+        data.write_xyz(geom.normalize_unit_sphere(np.random.default_rng(0).normal(size=(64, 3))), cloud_path)
+        argv += ["--cloud", str(cloud_path)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "'clf.b1' holds non-finite values" in err and str(bad) in err and not out
+    assert not (tmp_path / "out").exists()
+
+
 class TestInvarianceCheck:
     def test_fresh_init_passes(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -570,6 +588,21 @@ class TestInvarianceCheck:
             ["invariance-check", "--config", str(cfg), "--checkpoint", str(ckpt), "--trials", "10"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_logits_fail_with_exit_1(self, tmp_path, monkeypatch, capsys, bad):
+        # Once max(worst, nan) kept worst, and NaN logits PASSED at 0.000e+00.
+        calls = []
+
+        def logits(net, points):
+            calls.append(points)
+            return np.array([0.5, bad if len(calls) == 3 else 0.25, 1.0])
+
+        monkeypatch.setattr(model, "logits", logits)
+        cfg = write_config(tmp_path)
+        assert cli.main(["invariance-check", "--config", str(cfg), "--trials", "4"]) == 1
+        out = capsys.readouterr().out
+        assert "max_relative_deviation=nan" in out and "FAILED" in out and "PASSED" not in out
 
 
 class TestRobustness:
@@ -781,6 +814,13 @@ class TestGradcheck:
 
         monkeypatch.setattr(nnet, layer, corrupted)
         assert cli.main(["gradcheck"]) == 1
+
+    def test_a_non_finite_block_error_fails_with_exit_1(self, monkeypatch, capsys):
+        # The builtin max(errors, key=errors.get) skips a NaN after the first block.
+        errors = {"l0.g1.w0": 1e-9, "l0.g1.b0": np.nan, "clf.b1": 1e-8}
+        monkeypatch.setattr(nnet, "gradient_check_blocks", lambda *args, **kwargs: errors)
+        assert cli.main(["gradcheck"]) == 1
+        assert "FAILED: l0.g1.b0 has relative error nan" in capsys.readouterr().out
 
     def test_negative_seed_without_a_config_exits_2(self, capsys):
         assert cli.main(["gradcheck", "--seed", "-1"]) == 2

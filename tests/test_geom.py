@@ -334,7 +334,48 @@ def patch_axes(points, anchor: int, members) -> np.ndarray:
     return geom.lrf_axes_batch(pts[members], np.array([0, len(members)]), pts[anchor][None])[0]
 
 
+@pytest.fixture(scope="module")
+def level0_patches():
+    """Per cloud kind, the level-0 frame input of a 512-point cloud: the
+    12-NN patches of 128 FPS picks, flat, with their offsets and anchors."""
+    out = {}
+    for kind in ("generic", "grid", "duplicates"):
+        pts = scan_sized_cloud(kind, 512)
+        picks, rows, pos = fps(pts, 128)
+        rows[np.arange(len(picks)), pos] = np.inf
+        members = geom.canonical_order(pts)[geom.nearest_candidates(rows, 12)]
+        out[kind] = pts[members.ravel()], np.arange(0, members.size + 1, 12), pts[picks]
+    return out
+
+
 class TestLrfAxesBatch:
+    @pytest.mark.parametrize("kind", ["generic", "grid", "duplicates"])
+    def test_third_axis_is_the_cross_product_of_the_first_two(self, level0_patches, kind):
+        axes = geom.lrf_axes_batch(*level0_patches[kind])
+        cross = np.cross(axes[:, :, 0], axes[:, :, 1])
+        np.testing.assert_array_equal(axes[:, :, 2].view(np.int64), cross.view(np.int64))
+        np.testing.assert_allclose(np.linalg.det(axes), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["generic", "grid", "duplicates"])
+    def test_lower_triangle_covariance_gives_the_full_matrix_eigenpairs(
+        self, level0_patches, kind, monkeypatch
+    ):
+        flat, offsets, anchors = level0_patches[kind]
+        eigh, seen = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.copy()) or eigh(a))
+        geom.lrf_axes_batch(flat, offsets, anchors)
+        monkeypatch.undo()
+        # The full covariance, every entry summed over each patch.
+        starts, counts = offsets[:-1], np.diff(offsets)
+        centered = flat - (np.add.reduceat(flat, starts, axis=0) / counts[:, None]).repeat(counts, axis=0)
+        outers = (centered[:, :, None] * centered[:, None, :]).reshape(-1, 9)
+        full = np.add.reduceat(outers, starts, axis=0).reshape(-1, 3, 3) / counts[:, None, None]
+        (cov,) = seen
+        lower = np.tril_indices(3)
+        np.testing.assert_array_equal(cov[:, lower[0], lower[1]], full[:, lower[0], lower[1]])
+        for got, want in zip(eigh(cov), eigh(full)):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_collinear_points_give_identity_frame(self):
         # Third moments cancel; the anchor-to-mean fallback fixes +x, and the
         # degenerate axes complete to the coordinate frame.

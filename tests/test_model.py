@@ -1,7 +1,7 @@
 import hashlib
 import json
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +209,39 @@ class TestExtractDescriptors:
             dil = dilated_knn(pts, int(i), k, d)
             np.testing.assert_array_equal(flat1[off1[i] : off1[i + 1]], knn)
             np.testing.assert_array_equal(flatd[offd[i] : offd[i + 1]], dil)
+
+
+    @pytest.mark.parametrize("dilated_anchor", [None, 3], ids=["all_d1", "one_d2"])
+    def test_level0_h_input_is_the_projected_dilated_patch(self, cloud, monkeypatch, dilated_anchor):
+        # tiny_config's d_range (1, 2) has midpoint 1, so the deterministic
+        # draw dilates nothing and the plain patch serves as the dilated
+        # one; a draw with one d = 2 gathers its own dilated patch.
+        net = tiny_net()
+        m, k = net.config.level_sizes[0], 5  # the midpoint of k_range (4, 6)
+        ds = np.ones(m, dtype=np.int64)
+        if dilated_anchor is not None:
+            ds[dilated_anchor] = 2
+            draw = model.draw_interval
+            level0_d = (net.config.d_range, m)
+            monkeypatch.setattr(
+                model, "draw_interval", lambda b, c, r: ds if (b, c) == level0_d else draw(b, c, r)
+            )
+        gather_patches, pooled_mlp, dilations, inputs = model._gather_patches, nnet.pooled_mlp, [], []
+        monkeypatch.setattr(
+            model, "_gather_patches", lambda *a: dilations.append(len(a[-1])) or gather_patches(*a)
+        )
+        monkeypatch.setattr(nnet, "pooled_mlp", lambda p, x, o: inputs.append(x.value) or pooled_mlp(p, x, o))
+        desc = model.extract_descriptors(net, cloud)
+        assert dilations == [1 if dilated_anchor is None else 2]
+        # The dilated patch gathered on its own, from the same FPS rows.
+        order = geom.canonical_order(cloud)
+        _, rows, pos = geom.farthest_point_sampling(cloud, m, order)
+        off, (_, wide) = gather_patches(rows, order, pos, np.full(m, k), (1, ds))
+        axes = geom.lrf_axes_batch(cloud[wide], off, desc.points)
+        np.testing.assert_array_equal(desc.axes.view(np.int64), axes.view(np.int64))
+        want = model._project_segments(cloud, wide, off, desc.points, axes)
+        np.testing.assert_array_equal(inputs[1].view(np.int64), want.view(np.int64))
+        assert np.array_equal(inputs[0], inputs[1]) == (dilated_anchor is None)
 
 
 class TestQuantizedScan:
@@ -710,6 +743,28 @@ class TestTrainEvaluate:
             self._two_epoch_digest(tmp_path, transform_scope="global"),
             "a9d8689cd254fa9d82ac2d46fdc86dde54a534004cf88e0c928ef11ccdf94562",
         )
+
+    @pytest.mark.parametrize(
+        "d_range, pinned",
+        [
+            ((1, 2), "da9ecdead53be0f8cf205b572dab5319fbc9cce0bfdf4c9c91def3e7748358f1"),
+            ((2, 2), "7b437919bf16ac5de136148a034d2affdf0b2889176a1b6430f1641f505927de"),
+        ],
+        ids=["desk", "dilated"],
+    )
+    def test_inference_is_pinned(self, d_range, pinned):
+        # Deterministic logits of a seed-initialised desk model on three
+        # generic clouds and one 1/32-grid cloud. The desk d_range has
+        # midpoint 1, so its deterministic forward never dilates; (2, 2)
+        # gathers and projects a dilated patch of its own.
+        desk = cli.load_experiment_config(ROOT / "configs" / "desk.json").model
+        net = model.RiGcnModel(replace(desk, d_range=d_range))
+        clouds = [random_cloud(s, desk.num_points) for s in range(3)]
+        rotation = geom.random_rotation(np.random.default_rng(3), "so3")
+        rotated = geom.rotate(random_cloud(3, desk.num_points), rotation)
+        clouds.append(np.round(rotated * 32) / 32)
+        digest = hashlib.sha256(b"".join(model.logits(net, c).astype("<f8").tobytes() for c in clouds))
+        self._assert_pinned(digest.hexdigest(), pinned)
 
     def test_toy_set_is_learnable(self):
         clouds, labels = self._toy_data(24)

@@ -904,6 +904,19 @@ class TestGradientCheck:
         assert built == [True] + [False] * (2 * sum(p.value.size for p in params))
         assert max(errors.values()) <= 1e-5
 
+    def test_a_nan_loss_makes_every_block_error_non_finite(self):
+        # With max(worst, nan), which keeps worst, this read 0.0 per block.
+        params = init_mlp_with_biases((3, 4, 2), 12)
+        params[-1].value[0, 1] = np.nan
+        x = np.random.default_rng(12).normal(size=(5, 3))
+
+        def loss_fn():
+            return nnet.cross_entropy(nnet.maxpool_rows(nnet.mlp(params, nnet.constant(x))), 1)
+
+        errors = nnet.gradient_check_blocks(loss_fn, params, eps=1e-6)
+        assert list(errors) == [p.name for p in params]
+        assert not any(np.isfinite(e) for e in errors.values())
+
     def test_gather_and_concat_ops(self):
         rng = np.random.default_rng(10)
         w = make_param("w", rng.normal(size=(4, 3)))
@@ -1002,6 +1015,16 @@ class TestCheckpoint:
         path.write_bytes(nnet.CHECKPOINT_MAGIC + (2**62).to_bytes(8, "little") + b"{}")
         with pytest.raises(ValueError, match="truncated"):
             nnet.load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values_naming_the_parameter(self, tmp_path, bad):
+        value = np.ones((2, 3))
+        value[1, 2] = bad
+        path = tmp_path / "model.ckpt"
+        nnet.save_checkpoint(path, {}, [make_param("a.w0", np.ones((1, 2))), make_param("b.b1", value)])
+        with pytest.raises(ValueError, match="'b.b1' holds non-finite values") as raised:
+            nnet.load_checkpoint(path)
+        assert str(path) in str(raised.value)
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.ckpt"
