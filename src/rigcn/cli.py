@@ -77,12 +77,11 @@ class ExperimentConfig:
 
 def load_experiment_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
+        # A document nested deeper than the parser recurses raises RecursionError.
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
             raise ConfigError(f"{path}: invalid JSON: {e}") from None
-        except RecursionError:  # nesting deeper than the parser recurses
-            raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None
     cfg = model_mod.from_dict(ExperimentConfig, payload, "config")
     # The model is initialised from the top-level seed; a different model seed
     # would be echoed into config.json without taking effect.

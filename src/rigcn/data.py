@@ -104,20 +104,30 @@ def read_xyz(path) -> np.ndarray:
     return points
 
 
+def _text_lines(path):
+    """The lines of ``path``, split where text mode splits them (their
+    endings kept) and each decoded as UTF-8; the first line that is not
+    UTF-8 raises ``ParseError`` naming it."""
+    for ln, raw in enumerate(Path(path).read_bytes().splitlines(keepends=True), start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: line {ln}: not UTF-8 text: {e.reason}") from None
+
+
 def _xyz_error(path) -> ParseError:
     """The error for the first line numpy cannot read as one triple, numbered
     from 1 as an editor counts; numpy's own messages count rows otherwise."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                return ParseError(f"{path}: line {ln}: expected 3 values, got {len(parts)}")
-            try:
-                _parse_xyz([line])
-            except ValueError:
-                return ParseError(f"{path}: line {ln}: non-numeric coordinate")
+    for ln, line in enumerate(_text_lines(path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            return ParseError(f"{path}: line {ln}: expected 3 values, got {len(parts)}")
+        try:
+            _parse_xyz([line])
+        except ValueError:
+            return ParseError(f"{path}: line {ln}: non-numeric coordinate")
     return ParseError(f"{path}: no points found")
 
 
@@ -334,30 +344,29 @@ def load_manifest(path) -> DatasetSplit:
     train: list[LabeledCloud] = []
     test: list[LabeledCloud] = []
     seen: dict[str, int] = {}
-    with open(manifest, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != MANIFEST_COLUMNS:
-            raise ParseError(f"{manifest}: line 1: expected header {','.join(MANIFEST_COLUMNS)}")
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"{manifest}: line {ln}: expected 4 columns, got {len(row)}")
-            source_id, split_name, class_name, rel = row
-            if split_name not in ("train", "test"):
-                raise ParseError(f"{manifest}: line {ln}: unknown split {split_name!r}")
-            first = seen.setdefault(source_id, ln)
-            if first != ln:
-                raise ParseError(f"{manifest}: line {ln}: source_id {source_id!r} repeats line {first}")
-            if class_name not in class_names:
-                class_names.append(class_name)
-            item = LabeledCloud(
-                cloud=read_xyz(base / rel),
-                label=class_names.index(class_name),
-                source_id=source_id,
-            )
-            (train if split_name == "train" else test).append(item)
+    reader = csv.reader(_text_lines(manifest))
+    header = next(reader, None)
+    if header is None or tuple(header) != MANIFEST_COLUMNS:
+        raise ParseError(f"{manifest}: line 1: expected header {','.join(MANIFEST_COLUMNS)}")
+    for ln, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ParseError(f"{manifest}: line {ln}: expected 4 columns, got {len(row)}")
+        source_id, split_name, class_name, rel = row
+        if split_name not in ("train", "test"):
+            raise ParseError(f"{manifest}: line {ln}: unknown split {split_name!r}")
+        first = seen.setdefault(source_id, ln)
+        if first != ln:
+            raise ParseError(f"{manifest}: line {ln}: source_id {source_id!r} repeats line {first}")
+        if class_name not in class_names:
+            class_names.append(class_name)
+        item = LabeledCloud(
+            cloud=read_xyz(base / rel),
+            label=class_names.index(class_name),
+            source_id=source_id,
+        )
+        (train if split_name == "train" else test).append(item)
     if not train:
         raise ParseError(f"{manifest}: no training rows")
     return DatasetSplit(train=train, test=test, class_names=tuple(class_names))

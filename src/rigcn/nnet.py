@@ -18,9 +18,9 @@ a constant matrix times a linear map), each as one node; row/segment max
 pooling, column concatenation, row gathering, and softmax cross-entropy.
 
 A node keeps its value and what its vjps read. An MLP node reads only its
-input, and a pooled MLP node its input and each segment's argmax rows; one
-helper recomputes the hidden rows and backpropagates the chain of layers
-for both, so a graph holds no hidden or pre-pool rows.
+input, a max-pooling node each segment's argmax rows, and a pooled MLP node
+both; one helper recomputes the hidden rows and backpropagates the chain of
+layers for both MLP nodes, so a graph holds no hidden or pre-pool rows.
 
 A ``ParameterSet`` keeps a model's values and gradients in two flat
 buffers, which Adam updates in a few whole-buffer passes. The gradient
@@ -231,26 +231,17 @@ def _affine(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray, activate: bool) -> n
 
 
 def maxpool_rows(x: Node) -> Node:
-    """Column-wise max over rows, as a 1-row matrix.
-
-    On ties the gradient goes to the lowest-index argmax row.
-    """
-    v = x.value
-    if v.shape[0] < 1:
+    """Column-wise max over rows, as a 1-row matrix: ``segment_maxpool``
+    over one segment."""
+    if x.value.shape[0] < 1:
         raise ValueError("maxpool over an empty matrix")
-
-    def vjp(g):
-        gx = np.zeros_like(v)
-        gx[np.argmax(v, axis=0), np.arange(v.shape[1])] = g[0]
-        return gx
-
-    return Node(v.max(axis=0, keepdims=True), parents=((x, vjp),))
+    return segment_maxpool(x, [0, len(x.value)])
 
 
 def _segment_argmax(v: np.ndarray, out: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per segment and column, the lowest row of ``v`` that holds the
     segment's max ``out``; a NaN max is held by the segment's NaN rows, so
-    the first NaN row takes it, as ``np.argmax`` picks in ``maxpool_rows``."""
+    the first NaN row takes it."""
     hit = v == np.repeat(out, np.diff(offsets), axis=0)
     flat = np.flatnonzero(hit.T)  # column by column, rows in order
     if flat.size == out.size and not np.isnan(out).any():
@@ -274,18 +265,20 @@ def _scatter_rows(argrows: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
 def segment_maxpool(x: Node, offsets: np.ndarray) -> Node:
     """Row-wise max within each contiguous segment of rows.
 
-    Segment ``i`` is ``rows[offsets[i]:offsets[i + 1]]``; output row ``i`` is
-    its column-wise max. Ties route the gradient to the lowest row index,
-    matching ``maxpool_rows``.
+    Segment ``i`` is ``rows[offsets[i]:offsets[i + 1]]``, non-empty, and the
+    segments span the rows; output row ``i`` is its column-wise max. Ties
+    route the gradient to the lowest row index. In a graph the node keeps
+    each segment's argmax rows, found once in the forward, not its input.
     """
     v = x.value
     offsets = np.asarray(offsets)
-    if np.any(np.diff(offsets) < 1):
-        raise ValueError("segment_maxpool requires non-empty segments")
+    if len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != len(v) or np.any(np.diff(offsets) < 1):
+        raise ValueError(f"segment_maxpool offsets must rise from 0 to the row count {len(v)}")
     out = np.maximum.reduceat(v, offsets[:-1], axis=0)
-    return Node(
-        out, parents=((x, lambda g: _scatter_rows(_segment_argmax(v, out, offsets), g, len(v))),)
-    )
+    if not _grad_enabled:
+        return Node(out)
+    argrows, n = _segment_argmax(v, out, offsets), len(v)
+    return Node(out, parents=((x, lambda g: _scatter_rows(argrows, g, n)),))
 
 
 def concat_cols(nodes: list[Node]) -> Node:
@@ -420,22 +413,18 @@ def pooled_mlp(params: list[Parameter], x: Node, offsets: np.ndarray) -> Node:
     """``segment_maxpool(mlp(params, x), offsets)`` as one node: a per-row
     MLP, max-pooled over each contiguous segment of rows.
 
-    The node has the ``mlp`` node's parents and keeps its input and, per
-    segment and column, the row that held the max (ties to the lowest row,
-    as ``segment_maxpool`` routes them); the pre-pool rows are freed once
-    pooled. Its backward scatters its gradient to those rows, with
-    ``backward``'s ``+ 0.0``, and runs the ``mlp`` node's backward on it.
+    The node has the ``mlp`` node's parents and keeps its input and the
+    pooling node's argmax rows; the pre-pool rows are freed once pooled.
+    Its backward runs the pooling vjp on its gradient, with ``backward``'s
+    ``+ 0.0``, and the ``mlp`` node's backward on the result.
     """
-    offsets = np.asarray(offsets)
     pre = mlp(params, x)
-    with no_grad():
-        out = segment_maxpool(pre, offsets)
+    pooled = segment_maxpool(pre, offsets)
     if not _grad_enabled:
-        return out
-    argrows = _segment_argmax(pre.value, out.value, offsets)
-    n, parents, chain = len(pre.value), pre.parents, pre.upstream
-    del pre
-    return Node(out.value, parents, upstream=lambda g: chain(_scatter_rows(argrows, g + 0.0, n)))
+        return pooled
+    (_, scatter), = pooled.parents
+    chain = pre.upstream
+    return Node(pooled.value, pre.parents, upstream=lambda g: chain(scatter(g + 0.0)))
 
 
 @dataclass
@@ -571,10 +560,11 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if size > left:
             raise ValueError(f"truncated checkpoint: a {size}-byte header but {left} bytes follow: {path}")
+        # A document nested deeper than the parser recurses raises RecursionError.
         try:
             header = json.loads(fh.read(size).decode("utf-8"))
-        except RecursionError:  # nesting deeper than the parser recurses
-            raise ValueError(f"malformed checkpoint header: nested too deeply: {path}") from None
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+            raise ValueError(f"malformed checkpoint header: {e}: {path}") from None
         version = header.get("version") if isinstance(header, dict) else None
         if version != CHECKPOINT_VERSION:
             raise ValueError(

@@ -479,6 +479,33 @@ class TestEvaluate:
         out, err = capsys.readouterr()
         assert str(bad) in err and not out
 
+    @pytest.mark.parametrize("bad", ["config", "checkpoint", "checkpoint_json", "manifest", "cloud"])
+    def test_undecodable_input_exits_2_naming_the_file(self, trained, tmp_path, capsys, bad):
+        # Each once printed only the decoder's or json's message, naming no file.
+        manifest = manifest_with_edited_cloud(tmp_path, "cube_0004", lambda lines: lines)
+        cfg = write_config(tmp_path, name="cfg2.json", dataset={"kind": "manifest", "path": str(manifest)})
+        ckpt = tmp_path / "copy.ckpt"
+        ckpt.write_bytes(trained[1].read_bytes())
+        where = ""
+        if bad == "config":
+            path, content = cfg, b"\xff\xfe{}"
+        elif bad.startswith("checkpoint"):
+            header = b"{not json" if bad == "checkpoint_json" else b"\xff\xfe{}"
+            path, content = ckpt, nnet.CHECKPOINT_MAGIC + len(header).to_bytes(8, "little") + header
+        elif bad == "manifest":
+            path, rows = manifest, manifest.read_bytes()
+            content, where = rows + b"cube_9999,test,cube,\xff.xyz\n", f"line {len(rows.splitlines()) + 1}"
+        else:
+            path = tmp_path / "ds" / "clouds" / "cube_0004.xyz"
+            lines = path.read_bytes().splitlines(keepends=True)
+            content, where = b"".join(lines[:2] + [b"0 \xff 0\n"] + lines[3:]), "line 3"
+        path.write_bytes(content)
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 2
+        out, err = capsys.readouterr()
+        assert str(path) in err and where in err and not out
+        assert not (tmp_path / "out").exists()
+
     def test_checkpoint_with_trailing_bytes_exits_2(self, trained, tmp_path, capsys):
         _, ckpt, _ = trained
         bad = tmp_path / "bad.ckpt"
@@ -945,7 +972,10 @@ class TestBenchmarkHooks:
         net = workloads.desk_model(seeds["model_seed"])
         opt = nnet.OptimizerState(learning_rate=workloads.LEARNING_RATE)
         recorder = spans.Recorder("test")
-        with recorder.installed(spans.COMPUTE_TARGETS):
+        # Each target under its own name, so the pool functions, which share
+        # a span name, are told apart.
+        targets = [(mod, attr, f"{mod.__name__}.{attr}", count) for mod, attr, _, count in spans.COMPUTE_TARGETS]
+        with recorder.installed(targets):
             workloads.infer_op(net, clouds, labels, seeds["ops"])
             eval_counts = dict(recorder.counts)
             workloads.train_op(net, opt, clouds, labels, seeds["ops"])
@@ -960,8 +990,10 @@ class TestBenchmarkHooks:
         assert eval_counts == {**{k: n * v for k, v in per_cloud.items()}, "dag_nodes": n}
         # Training keeps the 26-node graph of a desk forward.
         assert recorder.counts == {**{k: 2 * n * v for k, v in per_cloud.items()}, "dag_nodes": n * (1 + 26)}
+        # Every target records a span but the tie fallback's per-anchor
+        # oracle, which only the tests call.
         names = {span[0] for span in recorder.spans}
-        assert {"model.forward", "geom.fps", "graph.build", "nnet.backward"} <= names
+        assert names == {name for _, _, name, _ in targets} - {"rigcn.geom.sorted_candidates"}
 
     def test_desk_config_validates(self, monkeypatch):
         workloads = load_perfbench("workloads", monkeypatch)

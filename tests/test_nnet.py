@@ -60,12 +60,13 @@ def gcn_reference(a_hat, x, w):
 
 def segment_maxpool_vjp_reference(v, offsets, g):
     """The oracle for ``segment_maxpool``'s vjp: each segment's argmax row per
-    column, ties to the lowest row, from an int64 matrix of row indices."""
+    column, ties to the lowest row and a NaN max to the first NaN row, from
+    an int64 matrix of row indices."""
     starts = offsets[:-1]
     seg_ids = np.repeat(np.arange(len(starts)), np.diff(offsets))
-    out = np.maximum.reduceat(v, starts, axis=0)
+    out = np.maximum.reduceat(v, starts, axis=0)[seg_ids]
     rows = np.arange(v.shape[0])[:, None]
-    hit_rows = np.where(v == out[seg_ids], rows, v.shape[0])
+    hit_rows = np.where((v == out) | (np.isnan(v) & np.isnan(out)), rows, v.shape[0])
     argrows = np.minimum.reduceat(hit_rows, starts, axis=0)
     gx = np.zeros_like(v)
     gx[argrows, np.arange(v.shape[1])[None, :]] = g
@@ -520,6 +521,43 @@ class TestMaxpool:
     def test_segment_maxpool_rejects_empty_segment(self):
         with pytest.raises(ValueError):
             nnet.segment_maxpool(nnet.constant(np.zeros((3, 2))), [0, 3, 3])
+
+    @pytest.mark.parametrize("offsets", [[0, 1, 2], [1, 2, 4], [0, 2, 5], [0], []])
+    def test_segment_maxpool_rejects_offsets_that_do_not_span_the_rows(self, offsets):
+        # reduceat would run the last segment to the end, or skip the first rows.
+        with pytest.raises(ValueError, match="rise from 0 to the row count 4"):
+            nnet.segment_maxpool(nnet.constant(np.zeros((4, 2))), offsets)
+
+    @given(
+        st.integers(1, 24),
+        arrays(np.float64, (24, 3), elements=st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0, np.nan])),
+        arrays(np.float64, (1, 3), elements=st.sampled_from([-0.0, 0.5, -2.0])),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_maxpool_rows_matches_the_reference(self, rows, values, g):
+        v = values[:rows]
+        out = nnet.maxpool_rows(nnet.constant(v))
+        (_, vjp), = out.parents
+        np.testing.assert_array_equal(out.value, v.max(axis=0, keepdims=True))
+        np.testing.assert_array_equal(bits(vjp(g)), bits(segment_maxpool_vjp_reference(v, np.array([0, rows]), g)))
+
+    def test_argmax_rows_are_found_only_for_a_graph(self, monkeypatch):
+        calls = []
+        argmax = nnet._segment_argmax
+        monkeypatch.setattr(nnet, "_segment_argmax", lambda *a: calls.append(1) or argmax(*a))
+        x = nnet.constant(np.random.default_rng(3).normal(size=(6, 2)))
+        params = init_mlp_with_biases((2, 3), 1)
+
+        def pool_each_way():
+            nnet.maxpool_rows(x)
+            nnet.segment_maxpool(x, [0, 2, 6])
+            nnet.pooled_mlp(params, x, [0, 6])
+
+        with nnet.no_grad():
+            pool_each_way()
+        assert not calls
+        pool_each_way()
+        assert len(calls) == 3
 
 
 class TestPooledMlp:
