@@ -249,9 +249,9 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
         raise ConfigError(f"checkpoint {ckpt}: not a file path in an existing directory")
     split = _load_dataset(cfg, args.config)
     _check_dataset(split, cfg.model)
-    out = _prepare_out(cfg)
     net = model_mod.RiGcnModel(cfg.model)
     opt = nnet.OptimizerState(learning_rate=cfg.training.learning_rate)
+    out = _prepare_out(cfg)
     train_clouds, train_labels = split.arrays("train")
     test_clouds, test_labels = split.arrays("test")
     train_rng = np.random.default_rng([cfg.seed, _STREAM_TRAIN])
@@ -525,6 +525,9 @@ def main(argv=None) -> int:
         return EXIT_DIVERGED
     except (OSError, ValueError) as e:  # ConfigError and data.ParseError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as e:  # a config too large to allocate is a usage error
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 

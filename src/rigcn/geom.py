@@ -117,17 +117,14 @@ def squared_distances(points) -> np.ndarray:
     """The (N, N) squared distances between the points, in input order.
 
     A forward pass computes distances only inside
-    ``farthest_point_sampling`` and hands blocks of its rows down the
-    hierarchy; this is the same computation for callers that hold only
-    points.
+    ``farthest_point_sampling``, from each level's own points; this is the
+    same computation, bitwise, for callers that hold only points.
     """
     planar = as_cloud(points).T
     return _sum_of_squares(planar[:, None, :] - planar[:, :, None])
 
 
-def farthest_point_sampling(
-    points, m: int, order: np.ndarray, block: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def farthest_point_sampling(points, m: int, order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Greedy max-min sampling of ``m`` point indices.
 
     The first pick is the point farthest from the centroid; each later pick
@@ -140,18 +137,15 @@ def farthest_point_sampling(
     Returns the picks, their (m, N) squared-distance rows with columns in
     canonical order, and the picks' positions ``pos`` in that order
     (``picks == order[pos]``): ``rows[i, c]`` is the squared distance from
-    ``points[picks[i]]`` to ``points[order[c]]``. Given ``block``, the
-    points' own (N, N) squared distances in input order, the rows are read
-    from it and no distance between two points is computed. The loop binds
-    the point columns and the ``_summands`` rows once, so a computed row is
-    one subtract, multiply and two adds, then minimum, mask and argmax.
+    ``points[picks[i]]`` to ``points[order[c]]``. Every level of the
+    hierarchy computes its rows here, from its own points. The loop binds
+    the point columns and the ``_summands`` rows once, so a row is one
+    subtract, multiply and two adds, then minimum, mask and argmax.
     """
     pts = as_cloud(points)
     n = len(pts)
     if not 1 <= m <= n:
         raise ValueError(f"sample count m={m} out of range [1, {n}]")
-    if block is not None and block.shape != (n, n):
-        raise ValueError(f"distance block has shape {block.shape}, expected {(n, n)}")
     cp = pts[order]
     planar = np.ascontiguousarray(cp.T)
     diff = planar - cp.mean(axis=0)[:, None]
@@ -163,13 +157,10 @@ def farthest_point_sampling(
     min_d2 = np.full(n, np.inf)
     for i, row in enumerate(rows):
         pos[i] = current
-        if block is None:
-            np.subtract(planar, columns[current], out=diff)
-            np.multiply(diff, diff, out=diff)
-            np.add(first, second, out=row)
-            row += third
-        else:
-            np.take(block[order[current]], order, out=row)
+        np.subtract(planar, columns[current], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add(first, second, out=row)
+        row += third
         np.minimum(min_d2, row, out=min_d2)
         min_d2[current] = -np.inf
         current = min_d2.argmax()

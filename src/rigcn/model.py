@@ -139,8 +139,8 @@ class DescriptorSet:
     between the points, ``block[i, j]`` from point i to point j, and their
     ``geom.canonical_order``.
 
-    The block is a block of the rows the level's sampling computed; the
-    next level's sampling and the level's graph read it and the order
+    The block is the level's own graph block, its sampling rows at the
+    picks' positions; only the level's graph reads it and the order,
     instead of computing distances or sorting the points again. The input
     cloud enters the hierarchy as level -1, with no axes, features or block.
     """
@@ -202,11 +202,11 @@ def load_model(path) -> RiGcnModel:
         raise ValueError(f"checkpoint holds parameters the model lacks: {sorted(unknown)}: {path}")
     for p in model.parameters():
         if p.name not in values:
-            raise ValueError(f"checkpoint is missing parameter {p.name!r}")
+            raise ValueError(f"checkpoint is missing parameter {p.name!r}: {path}")
         if values[p.name].shape != p.value.shape:
             raise ValueError(
                 f"checkpoint parameter {p.name!r} has shape {values[p.name].shape}, "
-                f"expected {p.value.shape}"
+                f"expected {p.value.shape}: {path}"
             )
         p.value[...] = values[p.name]
     return model
@@ -298,7 +298,7 @@ def _next_level(
     m = cfg.level_sizes[level]
     if m > len(prev.points):
         raise ConfigError(f"level {level} needs {m} points but its input has {len(prev.points)}")
-    sel, d2, pos = geom.farthest_point_sampling(prev.points, m, prev.order, prev.block)
+    sel, d2, pos = geom.farthest_point_sampling(prev.points, m, prev.order)
     block = d2[:, pos]
     anchors = prev.points[sel]
     ks = draw_interval(cfg.k_range, m, rng if cfg.stochastic_k else None)

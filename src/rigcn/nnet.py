@@ -54,6 +54,10 @@ import numpy as np
 
 CHECKPOINT_MAGIC = b"RIGCN1\n"
 CHECKPOINT_VERSION = 1
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class ShapeError(ValueError):
@@ -430,12 +434,10 @@ def pooled_mlp(params: list[Parameter], x: Node, offsets: np.ndarray) -> Node:
 @dataclass
 class OptimizerState:
     """Adaptive-moment (Adam) update state; ``m`` and ``v`` are the flat
-    first and second moments, allocated at the first step."""
+    first and second moments, allocated at the first step. The decay rates
+    and offset are the module's ``ADAM_*`` constants."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -465,7 +467,7 @@ def optimizer_step(state: OptimizerState, params: ParameterSet) -> None:
         g.fill(0.0)
         raise TrainingDivergenceError(f"non-finite gradient in parameter {bad.name!r}")
     state.step += 1
-    b1, b2, m, v = state.beta1, state.beta2, state.m, state.v
+    b1, b2, m, v = ADAM_BETA1, ADAM_BETA2, state.m, state.v
     tmp = g * g
     tmp *= 1 - b2
     v *= b2
@@ -478,7 +480,7 @@ def optimizer_step(state: OptimizerState, params: ParameterSet) -> None:
     tmp *= state.learning_rate
     np.divide(v, 1 - b2**state.step, out=g)
     np.sqrt(g, out=g)
-    g += state.eps
+    g += ADAM_EPS
     tmp /= g
     params.values -= tmp
     g.fill(0.0)

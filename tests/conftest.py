@@ -10,11 +10,11 @@ def random_cloud(seed: int, n: int = 64) -> np.ndarray:
     return geom.normalize_unit_sphere(rng.normal(size=(n, 3)))
 
 
-def fps(points, m: int, block=None):
+def fps(points, m: int):
     """``geom.farthest_point_sampling`` over a point set sorted first, as a
     forward pass sorts each level once."""
     pts = geom.as_cloud(points)
-    return geom.farthest_point_sampling(pts, m, geom.canonical_order(pts), block)
+    return geom.farthest_point_sampling(pts, m, geom.canonical_order(pts))
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -367,6 +368,24 @@ def edited_checkpoint(ckpt, path, edit, extra=b""):
     return path
 
 
+def header_edit(edit, extra_values=0):
+    """Writes ``edited_checkpoint`` with ``extra_values`` zero float64s
+    appended."""
+    return lambda ckpt, path: edited_checkpoint(ckpt, path, edit, b"\0" * 8 * extra_values)
+
+
+def saved_without(name):
+    """Writes a well-formed checkpoint of ``ckpt``'s model that leaves out
+    the parameter ``name``."""
+
+    def write(ckpt, path):
+        net = model.load_model(ckpt)
+        nnet.save_checkpoint(path, asdict(net.config), [p for p in net.parameters() if p.name != name])
+        return path
+
+    return write
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("trained")
@@ -536,21 +555,32 @@ class TestEvaluate:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "edit, extra, message",
+        "write, message",
         [
             # Each shape once ended in a traceback or numpy's reshape error.
-            (lambda h: h["params"][0].update(shape=[10**12]), 0, "truncated"),
-            (lambda h: h["params"][0].update(shape=[10**7] * 3), 0, "truncated"),
-            (lambda h: h["params"][0].update(shape=[2**62, 4]), 0, "truncated"),
-            (lambda h: h["params"].append({"name": "stray.w", "shape": [1, 2]}), 2, "stray.w"),
-            (lambda h: h["params"].append(dict(h["params"][0])), 18, "'l0.g1.w0' twice"),
+            (header_edit(lambda h: h["params"][0].update(shape=[10**12])), "truncated"),
+            (header_edit(lambda h: h["params"][0].update(shape=[10**7] * 3)), "truncated"),
+            (header_edit(lambda h: h["params"][0].update(shape=[2**62, 4])), "truncated"),
+            (header_edit(lambda h: h["params"].append({"name": "stray.w", "shape": [1, 2]}), 2), "stray.w"),
+            (header_edit(lambda h: h["params"].append(dict(h["params"][0])), 18), "'l0.g1.w0' twice"),
+            # The same byte count, so only the model's shapes disagree.
+            (header_edit(lambda h: h["params"][0]["shape"].reverse()), "'l0.g1.w0' has shape (6, 3)"),
+            (saved_without("l0.g1.w0"), "missing parameter 'l0.g1.w0'"),
         ],
-        ids=["shape_1e12", "shape_1e21", "shape_2e62_by_4", "stray_parameter", "duplicate_name"],
+        ids=[
+            "shape_1e12",
+            "shape_1e21",
+            "shape_2e62_by_4",
+            "stray_parameter",
+            "duplicate_name",
+            "transposed_shape",
+            "missing_parameter",
+        ],
     )
     def test_checkpoint_header_that_disagrees_with_the_model_exits_2(
-        self, trained, tmp_path, capsys, edit, extra, message
+        self, trained, tmp_path, capsys, write, message
     ):
-        bad = edited_checkpoint(trained[1], tmp_path / "bad.ckpt", edit, b"\0" * 8 * extra)
+        bad = write(trained[1], tmp_path / "bad.ckpt")
         cfg = write_config(tmp_path)
         assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(bad)]) == 2
         err = capsys.readouterr().err
@@ -573,6 +603,20 @@ def test_non_finite_checkpoint_exits_2_before_writing(trained, tmp_path, capsys,
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert "'clf.b1' holds non-finite values" in err and str(bad) in err and not out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "invariance-check"])
+def test_a_model_too_large_to_allocate_exits_2_before_writing(tmp_path, monkeypatch, capsys, command):
+    # As numpy refuses a parameter of a huge config; nothing is allocated.
+    def init_parameter(*args, **kwargs):
+        raise MemoryError("Unable to allocate 21.8 TiB for an array")
+
+    monkeypatch.setattr(nnet, "init_parameter", init_parameter)
+    cfg = write_config(tmp_path)
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: out of memory: Unable to allocate 21.8 TiB for an array\n" and not out
     assert not (tmp_path / "out").exists()
 
 

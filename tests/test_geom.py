@@ -136,15 +136,11 @@ class TestFarthestPointSampling:
         else:
             pts = rng.integers(-6, 7, size=(n, 1)) * np.array([[0.25, 0.5, -0.75]]) + 0.5
         m = int(rng.integers(1, n + 1))
-        sel, rows, pos = fps(pts, m)
+        sel, rows, _ = fps(pts, m)
         assert sel.tolist() == brute_force_fps(pts, m)
-        # One distance definition: the rows are the helper's, bitwise, and
-        # sampling from the helper's block repeats the picks and the rows.
+        # One distance definition: the rows are the helper's, bitwise.
         block = geom.squared_distances(pts)
         np.testing.assert_array_equal(rows, block[sel][:, geom.canonical_order(pts)])
-        from_block = fps(pts, m, block)
-        for got, want in zip(from_block, (sel, rows, pos)):
-            np.testing.assert_array_equal(got, want)
 
     def test_distance_rows(self):
         pts = random_cloud(4, 30)
@@ -157,11 +153,6 @@ class TestFarthestPointSampling:
         for row, i in zip(d2, sel):
             diff = pts[order] - pts[i]
             np.testing.assert_array_equal(row, np.einsum("ij,ij->i", diff, diff))
-
-    def test_block_must_match_the_points(self):
-        pts = random_cloud(4, 10)
-        with pytest.raises(ValueError):
-            fps(pts, 3, geom.squared_distances(pts[:9]))
 
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)

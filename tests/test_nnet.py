@@ -826,7 +826,7 @@ class TestOptimizer:
         p.grad[...] = g
         state = nnet.OptimizerState(learning_rate=0.1)
         nnet.optimizer_step(state, nnet.ParameterSet([p]))
-        np.testing.assert_allclose(-p.value, 0.1 * g / (np.abs(g) + state.eps), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(-p.value, 0.1 * g / (np.abs(g) + nnet.ADAM_EPS), rtol=1e-12, atol=0)
 
     def test_gradients_zeroed_after_step(self):
         p = make_param("p", [[0.0]])
