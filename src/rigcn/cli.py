@@ -442,8 +442,7 @@ def cmd_gen_data(cfg: ExperimentConfig, args) -> int:
     if cfg.dataset.kind != "synthetic":
         raise ConfigError("gen-data requires a synthetic dataset config")
     split = _load_dataset(cfg, args.config)
-    out = Path(cfg.out_dir)
-    manifest = data.save_dataset(split, out)
+    manifest = data.save_dataset(split, _prepare_out(cfg))
     print(
         f"wrote {len(split.train)} train / {len(split.test)} test clouds "
         f"({len(split.class_names)} classes) -> {manifest}"

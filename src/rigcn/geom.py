@@ -86,9 +86,9 @@ def canonical_order(points: np.ndarray) -> np.ndarray:
     ties are settled by position and never by a per-anchor pass. The order
     depends on coordinates alone except among exact duplicates, which are
     interchangeable, so results follow permutations of the input rows
-    exactly. It is taken once per point set, not once per cloud: hierarchy
-    levels keep their anchors in pick order. ``sorted_candidates`` spells
-    the rule out one anchor at a time and serves as its reference.
+    exactly. A forward takes it once per cloud; each level reads its order
+    off the order below. ``sorted_candidates`` spells the rule out one
+    anchor at a time and serves as its reference.
     """
     return np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
 
@@ -117,8 +117,8 @@ def squared_distances(points) -> np.ndarray:
     """The (N, N) squared distances between the points, in input order.
 
     A forward pass computes distances only inside
-    ``farthest_point_sampling``, from each level's own points; this is the
-    same computation, bitwise, for callers that hold only points.
+    ``farthest_point_sampling``, from the cloud; this is the same
+    computation, bitwise, for callers that hold only points.
     """
     planar = as_cloud(points).T
     return _sum_of_squares(planar[:, None, :] - planar[:, :, None])
@@ -137,8 +137,8 @@ def farthest_point_sampling(points, m: int, order: np.ndarray) -> tuple[np.ndarr
     Returns the picks, their (m, N) squared-distance rows with columns in
     canonical order, and the picks' positions ``pos`` in that order
     (``picks == order[pos]``): ``rows[i, c]`` is the squared distance from
-    ``points[picks[i]]`` to ``points[order[c]]``. Every level of the
-    hierarchy computes its rows here, from its own points. The loop binds
+    ``points[picks[i]]`` to ``points[order[c]]``. A forward runs it once,
+    over the cloud; levels 1+ take the first picks below. The loop binds
     the point columns and the ``_summands`` rows once, so a row is one
     subtract, multiply and two adds, then minimum, mask and argmax.
     """

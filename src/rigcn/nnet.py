@@ -237,8 +237,6 @@ def _affine(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray, activate: bool) -> n
 def maxpool_rows(x: Node) -> Node:
     """Column-wise max over rows, as a 1-row matrix: ``segment_maxpool``
     over one segment."""
-    if x.value.shape[0] < 1:
-        raise ValueError("maxpool over an empty matrix")
     return segment_maxpool(x, [0, len(x.value)])
 
 

@@ -12,7 +12,7 @@ def random_cloud(seed: int, n: int = 64) -> np.ndarray:
 
 def fps(points, m: int):
     """``geom.farthest_point_sampling`` over a point set sorted first, as a
-    forward pass sorts each level once."""
+    forward pass sorts the cloud."""
     pts = geom.as_cloud(points)
     return geom.farthest_point_sampling(pts, m, geom.canonical_order(pts))
 

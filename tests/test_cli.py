@@ -909,6 +909,12 @@ class TestGenData:
         assert len(split.train) == 12
         assert len(split.test) == 3
 
+    def test_echoes_the_config_with_its_overrides(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert cli.main(["gen-data", "--config", str(cfg), "--seed", "11"]) == 0
+        echoed = json.loads((tmp_path / "out" / "config.json").read_text())
+        assert echoed["seed"] == 11
+
     def test_manifest_round_trip_through_training(self, tmp_path):
         gen_cfg = write_config(tmp_path, out_dir=str(tmp_path / "ds"))
         assert cli.main(["gen-data", "--config", str(gen_cfg)]) == 0
@@ -1025,8 +1031,8 @@ class TestBenchmarkHooks:
             workloads.train_op(net, opt, clouds, labels, seeds["ops"])
         n = len(clouds)
         per_cloud = {
-            "fps_points": cfg.num_points + sum(cfg.level_sizes[:-1]),
-            "anchors": 3 * cfg.levels,  # len() of each call's result
+            "fps_points": cfg.num_points,  # levels 1+ take a prefix of level 0's picks
+            "anchors": 3,  # len() of the one call's result
             "lrf_frames": cfg.level_sizes[0],
             "graph_nodes": sum(cfg.level_sizes),
         }

@@ -53,8 +53,10 @@ class TestNormalizeUnitSphere:
         assert abs(np.linalg.norm(out, axis=1).max() - 1.0) < 1e-12
 
 
-def brute_force_fps(points: np.ndarray, m: int) -> list[int]:
-    """Reference greedy max-min trace with the documented tie-break."""
+def brute_force_fps(points: np.ndarray, m: int, start: int | None = None) -> list[int]:
+    """Reference greedy max-min trace with the documented tie-break, from
+    the point ``start`` or, without one, the point farthest from the
+    centroid."""
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
 
@@ -64,13 +66,28 @@ def brute_force_fps(points: np.ndarray, m: int) -> list[int]:
         ties.sort(key=lambda i: (tuple(pts[i]), i))
         return ties[0]
 
-    centroid = pts.mean(axis=0)
-    score = [float(((p - centroid) ** 2).sum()) for p in pts]
-    chosen = [pick(score, set())]
+    if start is None:
+        centroid = pts.mean(axis=0)
+        start = pick([float(((p - centroid) ** 2).sum()) for p in pts], set())
+    chosen = [start]
     while len(chosen) < m:
         score = [min(float(((p - pts[j]) ** 2).sum()) for j in chosen) for p in pts]
         chosen.append(pick(score, set(chosen)))
     return chosen
+
+
+def tie_heavy_cloud(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
+    """``n`` points with dyadic coordinates of one kind: ``generic`` (no
+    ties at 2**-20 resolution), ``quarter_grid``, ``duplicates`` or
+    ``collinear``."""
+    if kind == "generic":
+        return rng.integers(-(2**20), 2**20 + 1, size=(n, 3)) / 2.0**20
+    if kind == "quarter_grid":
+        return rng.integers(-4, 5, size=(n, 3)) / 4.0
+    if kind == "duplicates":
+        base = rng.integers(-8, 9, size=(max(1, n // 3), 3)) / 8.0
+        return base[rng.integers(0, len(base), size=n)]
+    return rng.integers(-6, 7, size=(n, 1)) * np.array([[0.25, 0.5, -0.75]]) + 0.5
 
 
 class TestFarthestPointSampling:
@@ -126,21 +143,29 @@ class TestFarthestPointSampling:
         # rather than rounding accidents; at 2**-20 resolution the generic
         # cloud has no ties besides the centroid one that n=2 forces.
         rng = np.random.default_rng(seed)
-        if kind == "generic":
-            pts = rng.integers(-(2**20), 2**20 + 1, size=(n, 3)) / 2.0**20
-        elif kind == "quarter_grid":
-            pts = rng.integers(-4, 5, size=(n, 3)) / 4.0
-        elif kind == "duplicates":
-            base = rng.integers(-8, 9, size=(max(1, n // 3), 3)) / 8.0
-            pts = base[rng.integers(0, len(base), size=n)]
-        else:
-            pts = rng.integers(-6, 7, size=(n, 1)) * np.array([[0.25, 0.5, -0.75]]) + 0.5
+        pts = tie_heavy_cloud(rng, kind, n)
         m = int(rng.integers(1, n + 1))
         sel, rows, _ = fps(pts, m)
         assert sel.tolist() == brute_force_fps(pts, m)
         # One distance definition: the rows are the helper's, bitwise.
         block = geom.squared_distances(pts)
         np.testing.assert_array_equal(rows, block[sel][:, geom.canonical_order(pts)])
+
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(["quarter_grid", "duplicates", "collinear"]),
+        st.sampled_from([4, 8, 16]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_picks_are_their_own_fps_prefix(self, seed, kind, n):
+        # The prefix property levels 1+ rely on: FPS over the picks, from
+        # the first pick, takes them in pick order, duplicates included.
+        rng = np.random.default_rng(seed)
+        pts = tie_heavy_cloud(rng, kind, n)
+        m1 = int(rng.integers(1, n + 1))
+        m2 = int(rng.integers(1, m1 + 1))
+        sel, _, _ = fps(pts, m1)
+        assert brute_force_fps(pts[sel], m2, start=0) == list(range(m2))
 
     def test_distance_rows(self):
         pts = random_cloud(4, 30)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rigcn import cli, data, environment, geom, graph, model, nnet
 
 from conftest import fps, random_cloud, tiny_config
-from test_geom import dilated_knn
+from test_geom import brute_force_fps, dilated_knn
 from test_graph import knn_graph
 
 
@@ -273,9 +273,26 @@ class TestExtendDescriptors:
     def test_axes_are_reused_bitwise(self, cloud, tiny_model):
         d0 = model.extract_descriptors(tiny_model, cloud)
         d1 = model.extend_descriptors(tiny_model, d0)
-        sel, _, _ = fps(d0.points, len(d1.points))
-        np.testing.assert_array_equal(d1.axes, d0.axes[sel])
-        np.testing.assert_array_equal(d1.points, d0.points[sel])
+        m = len(d1.points)
+        np.testing.assert_array_equal(d1.axes, d0.axes[:m])
+        np.testing.assert_array_equal(d1.points, d0.points[:m])
+
+    @pytest.mark.parametrize("seed", [6, 10])
+    @pytest.mark.parametrize("kind", ["generic", "grid"])
+    def test_each_level_is_fps_from_the_first_point_below(self, seed, kind):
+        # Desk-config clouds on which FPS from some level's own farthest
+        # point from its centroid would start elsewhere than at its first.
+        desk = cli.load_experiment_config(ROOT / "configs" / "desk.json").model
+        pts = random_cloud(seed, desk.num_points)
+        if kind == "grid":
+            rot = geom.random_rotation(np.random.default_rng(seed), "so3")
+            pts = np.round(geom.rotate(pts, rot) * 32) / 32
+        descs = model.level_descriptors(model.RiGcnModel(desk), pts)
+        centered = [d.points - d.points.mean(axis=0) for d in descs[:-1]]
+        assert any((c * c).sum(axis=1).argmax() != 0 for c in centered)
+        for prev, desc in zip(descs, descs[1:]):
+            picks = brute_force_fps(prev.points, len(desc.points), start=0)
+            np.testing.assert_array_equal(desc.points, prev.points[picks])
 
     def test_points_nest_across_levels(self, cloud, tiny_model):
         d0 = model.extract_descriptors(tiny_model, cloud)
@@ -459,8 +476,9 @@ class TestForward:
             assert np.isfinite(model.logits(net, cloud)).all()
 
     def test_each_point_set_is_sorted_once(self, monkeypatch):
-        # A desk forward holds 4 point sets (the cloud and 3 levels); each
-        # level carries its order to the next level's sampling and its graph.
+        # A desk forward sorts only the cloud; each level's order is its
+        # points' positions in the order below, read by its graph and the
+        # next level's gather.
         desk = cli.load_experiment_config(ROOT / "configs" / "desk.json").model
         pts = random_cloud(0, desk.num_points)
         net = model.RiGcnModel(desk)
@@ -473,7 +491,7 @@ class TestForward:
 
         monkeypatch.setattr(geom, "canonical_order", count)
         model.logits(net, pts)
-        assert sorted_sets == [desk.num_points, *desk.level_sizes]
+        assert sorted_sets == [desk.num_points]
         monkeypatch.undo()
         for desc in model.level_descriptors(net, pts):
             np.testing.assert_array_equal(desc.order, geom.canonical_order(desc.points))
