@@ -291,13 +291,16 @@ def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
     for mode in modes:
         if mode not in ROTATION_MODES:
             raise ConfigError(f"unknown rotation mode {mode!r}")
-    out = _prepare_out(cfg)
     clouds, labels = split.arrays("test")
+    # All modes run before the output directory is made: a failing forward leaves none.
+    results = [
+        model_mod.evaluate(net, clouds, labels, mode, np.random.default_rng([cfg.seed, _STREAM_EVAL]))
+        for mode in modes
+    ]
+    out = _prepare_out(cfg)
     fh, writer = _metrics_writer(out / "evaluation.csv")
     with fh:
-        for mode in modes:
-            rng = np.random.default_rng([cfg.seed, _STREAM_EVAL])
-            result = model_mod.evaluate(net, clouds, labels, mode, rng)
+        for mode, result in zip(modes, results):
             per_class = _per_class_cell(result, split.class_names)
             _write_metrics(writer, cfg, mode, 0, "test", result, per_class)
             print(f"mode={mode} accuracy={result.accuracy:.4f}")

@@ -78,17 +78,13 @@ def canonical_order(points: np.ndarray) -> np.ndarray:
     """Indices that sort the points lexicographically by (x, y, z), then by
     index.
 
-    This order is the package's one tie rule. Wherever candidates are
-    equally far (an FPS pick, a patch member, a graph neighbor), the one
-    earlier in this order wins. Code applies the rule by laying the points
-    out in this order, where ``np.argmax`` takes the first maximum and a
-    sort by (distance, position) keeps equal distances in position order, so
-    ties are settled by position and never by a per-anchor pass. The order
+    A forward lays the cloud out in this order once, so every point set is
+    in its tie order and one rule holds: among equal distances (an FPS pick,
+    a patch member, a graph neighbor) the lower index wins, a cloud point's
+    position in this order or a level point's FPS pick rank. The order
     depends on coordinates alone except among exact duplicates, which are
     interchangeable, so results follow permutations of the input rows
-    exactly. A forward takes it once per cloud; each level reads its order
-    off the order below. ``sorted_candidates`` spells the rule out one
-    anchor at a time and serves as its reference.
+    exactly.
     """
     return np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
 
@@ -124,21 +120,17 @@ def squared_distances(points) -> np.ndarray:
     return _sum_of_squares(planar[:, None, :] - planar[:, :, None])
 
 
-def farthest_point_sampling(points, m: int, order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def farthest_point_sampling(points, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Greedy max-min sampling of ``m`` point indices.
 
     The first pick is the point farthest from the centroid; each later pick
-    maximizes the minimum distance to the already-selected set, with ties
-    broken by ``order``, the points' ``canonical_order``. The loop runs over
-    the points in that order, centroid included, so the output follows
-    permutations of the input rows exactly. All decisions are distance-based,
-    so it is rotation-invariant wherever no exact tie decides a pick.
+    maximizes the minimum distance to the already-selected set, ties going
+    to the lower index. All decisions are distance-based, so it is
+    rotation-invariant wherever no exact tie decides a pick.
 
-    Returns the picks, their (m, N) squared-distance rows with columns in
-    canonical order, and the picks' positions ``pos`` in that order
-    (``picks == order[pos]``): ``rows[i, c]`` is the squared distance from
-    ``points[picks[i]]`` to ``points[order[c]]``. A forward runs it once,
-    over the cloud; levels 1+ take the first picks below. The loop binds
+    Returns the picks and their (m, N) squared-distance rows, ``rows[i, j]``
+    from ``points[picks[i]]`` to ``points[j]``. A forward runs it once, over
+    the laid-out cloud; levels 1+ take the first picks below. The loop binds
     the point columns and the ``_summands`` rows once, so a row is one
     subtract, multiply and two adds, then minimum, mask and argmax.
     """
@@ -146,17 +138,16 @@ def farthest_point_sampling(points, m: int, order: np.ndarray) -> tuple[np.ndarr
     n = len(pts)
     if not 1 <= m <= n:
         raise ValueError(f"sample count m={m} out of range [1, {n}]")
-    cp = pts[order]
-    planar = np.ascontiguousarray(cp.T)
-    diff = planar - cp.mean(axis=0)[:, None]
+    planar = np.ascontiguousarray(pts.T)
+    diff = planar - pts.mean(axis=0)[:, None]
     current = _sum_of_squares(diff).argmax()
-    columns = cp[:, :, None]  # columns[c] is planar[:, c, None]
+    columns = pts[:, :, None]  # columns[j] is planar[:, j, None]
     first, second, third = _summands(diff)
-    pos = np.empty(m, dtype=np.int64)
+    picks = np.empty(m, dtype=np.int64)
     rows = np.empty((m, n))
     min_d2 = np.full(n, np.inf)
     for i, row in enumerate(rows):
-        pos[i] = current
+        picks[i] = current
         np.subtract(planar, columns[current], out=diff)
         np.multiply(diff, diff, out=diff)
         np.add(first, second, out=row)
@@ -164,19 +155,19 @@ def farthest_point_sampling(points, m: int, order: np.ndarray) -> tuple[np.ndarr
         np.minimum(min_d2, row, out=min_d2)
         min_d2[current] = -np.inf
         current = min_d2.argmax()
-    return order[pos], rows, pos
+    return picks, rows
 
 
 def nearest_candidates(d2: np.ndarray, count: int) -> np.ndarray:
     """Per row of ``d2``, the columns of its ``count`` smallest entries in
     ascending distance, ties going to the lower column.
 
-    Columns stand for points in ``canonical_order``, so the column tie rule
-    is the package's one. Entries that must never be picked (an anchor
-    itself) hold inf, and ``count`` must be below the column count. The
-    prefix is found by a partition; a row whose last kept distance ties the
-    next one may have left tied candidates outside it, so for such rows
-    every candidate at or below the cut distance is ranked again.
+    Columns stand for points in their tie order, so this is the package's
+    one tie rule. Entries that must never be picked (an anchor itself) hold
+    inf, and ``count`` must be below the column count. The prefix is found
+    by a partition; a row whose last kept distance ties the next one may
+    have left tied candidates outside it, so for such rows every candidate
+    at or below the cut distance is ranked again.
 
     The partition and the re-rank run over blocks of ``max(1, 8192 // n)``
     rows for n columns, and the partition keeps only each row's
@@ -209,18 +200,14 @@ def nearest_candidates(d2: np.ndarray, count: int) -> np.ndarray:
 
 
 def sorted_candidates(points: np.ndarray, anchor_index: int) -> np.ndarray:
-    """All indices except the anchor, sorted by ascending distance to it.
-
-    Distance ties are broken by ``canonical_order``, one anchor at a time;
-    the batched paths are tested against this.
-    """
+    """All indices except the anchor, sorted by ascending distance to it,
+    ties going to the lower index: the package's tie rule one anchor at a
+    time, which the batched paths are tested against."""
     planar = as_cloud(points).T
     # The anchor's row of ``squared_distances``, bit for bit: the same
     # subtraction and sum order, without the other N - 1 rows.
     d2 = _sum_of_squares(planar - planar[:, anchor_index, None])
-    rank = np.empty(len(points), dtype=np.int64)
-    rank[canonical_order(points)] = np.arange(len(points))
-    order = np.lexsort((rank, d2))
+    order = np.argsort(d2, kind="stable")
     return order[order != anchor_index]
 
 

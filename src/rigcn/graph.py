@@ -12,7 +12,7 @@ class DegenerateGraphError(ValueError):
     """Raised when a point set is too small to carry a graph."""
 
 
-def build_knn_graph(points, d2: np.ndarray, khat: int, order: np.ndarray) -> np.ndarray:
+def build_knn_graph(points, d2: np.ndarray, khat: int) -> np.ndarray:
     """The (N, N) weights of a k-NN graph: directed ``khat``-NN edges with
     Gaussian-smoothed distance weights, symmetrized by taking the larger
     direction, zero on the diagonal.
@@ -21,8 +21,8 @@ def build_knn_graph(points, d2: np.ndarray, khat: int, order: np.ndarray) -> np.
     ``DescriptorSet.block`` or ``geom.squared_distances`` gives them. The
     kernel bandwidth is the mean of all selected neighbor distances, so
     weights stay scale-stable across levels. The construction uses distances
-    only and is therefore rotation-invariant; distance ties are broken by
-    ``order``, the points' ``geom.canonical_order``.
+    only and is therefore rotation-invariant; distance ties go to the lower
+    index, a level's pick rank.
     """
     pts = geom.as_cloud(points)
     n = len(pts)
@@ -33,8 +33,8 @@ def build_knn_graph(points, d2: np.ndarray, khat: int, order: np.ndarray) -> np.
     if not 1 <= khat < n:
         raise ValueError(f"khat={khat} must be in [1, {n - 1}] for {n} nodes")
 
-    d2 = d2[:, order]
-    d2[order, np.arange(n)] = np.inf
+    d2 = d2.copy()  # the caller's block stays intact
+    np.fill_diagonal(d2, np.inf)
     nbrs = geom.nearest_candidates(d2, khat)
 
     sel_d2 = d2[np.arange(n)[:, None], nbrs]
@@ -43,7 +43,7 @@ def build_knn_graph(points, d2: np.ndarray, khat: int, order: np.ndarray) -> np.
     w = np.exp(-sel_d2 / denom)
 
     directed = np.zeros((n, n))
-    directed[np.arange(n)[:, None], order[nbrs]] = w
+    directed[np.arange(n)[:, None], nbrs] = w
     weights = np.maximum(directed, directed.T)
     np.fill_diagonal(weights, 0.0)
     return weights

@@ -15,6 +15,7 @@ flag is set.
 
 from __future__ import annotations
 
+import itertools
 import typing
 from dataclasses import asdict, dataclass, fields, is_dataclass
 
@@ -76,6 +77,9 @@ class RiGcnConfig:
         ):
             if lo < 1 or hi < lo:
                 raise ConfigError(f"invalid {name} [{lo}, {hi}]")
+        # Level-0 patch indices are int64: m * k members, each reaching (k - 1) * d.
+        if max(sizes[0], self.d_range[1]) * self.k_range[1] >= 2**63:
+            raise ConfigError(f"k_range {self.k_range} and d_range {self.d_range} overflow int64 patch indices")
         if self.transform_scope == "local" and self.k_range[0] < 3:
             raise ConfigError(
                 f"k_range lower bound must be >= 3 for local frames (a PCA frame needs "
@@ -135,15 +139,13 @@ def _typed(tp, value, where: str):
 
 @dataclass
 class DescriptorSet:
-    """Representative points of one level with their reused principal axes,
-    per-point feature rows (the level's graph signal), squared distances
-    between the points, ``block[i, j]`` from point i to point j, and their
-    ``geom.canonical_order``.
-
-    The block is the level's graph block; its first rows, in the level's
-    order, are the next level's sampling rows. The order is read off the
-    order below, so only the cloud is sorted. The input cloud enters the
-    hierarchy as level -1, with no axes, features or block.
+    """One level's representative points in pick order (their tie order),
+    their reused principal axes, per-point feature rows (the level's graph
+    signal) and squared distances between them, ``block[i, j]`` from point
+    i to point j. The block is the level's graph block; its first rows are
+    the next level's sampling rows. The input cloud enters the hierarchy as
+    level -1, laid out in ``geom.canonical_order``, with no axes, features
+    or block.
     """
 
     level: int
@@ -151,7 +153,30 @@ class DescriptorSet:
     axes: np.ndarray | None
     features: nnet.Node | None
     block: np.ndarray | None
-    order: np.ndarray
+
+
+def parameter_shapes(config: RiGcnConfig) -> list[tuple[str, tuple[int, int]]]:
+    """Every parameter's name and shape in creation order, the order of
+    checkpoints: per level the MLPs ``g1``, ``h`` and ``f`` (a weight ``w{i}``
+    and a bias ``b{i}`` per layer) and the GCN weight, then the classifier
+    MLP. Validates the config and allocates nothing."""
+    config.validate()
+    shapes = []
+
+    def mlp(prefix: str, *widths: int) -> None:
+        for i, (a, b) in enumerate(zip(widths, widths[1:])):
+            shapes.extend([(f"{prefix}.w{i}", (a, b)), (f"{prefix}.b{i}", (1, b))])
+
+    for l, c in enumerate(config.channels):
+        mlp(f"l{l}.g1", 3, config.g_hidden, c // 2)
+        if l == 0:  # over dilated-patch coordinates; checkpoints name it g2
+            mlp("l0.g2", 3, config.g_hidden, c // 2)
+        else:
+            mlp(f"l{l}.h", config.channels[l - 1], c // 2, c // 2)
+        mlp(f"l{l}.f", c, c, c)
+        shapes.append((f"l{l}.gcn", (c, c)))
+    mlp("clf", sum(config.channels), config.classifier_hidden, config.num_classes)
+    return shapes
 
 
 class RiGcnModel:
@@ -159,28 +184,20 @@ class RiGcnModel:
     ``gcn_w``) and the classifier ``clf``, plus the config."""
 
     def __init__(self, config: RiGcnConfig):
-        config.validate()
         self.config = config
         rng = np.random.default_rng(config.seed)
-        channels = config.channels
-        self.g1: list[list[nnet.Parameter]] = []
-        self.h: list[list[nnet.Parameter]] = []
-        self.f: list[list[nnet.Parameter]] = []
-        self.gcn_w: list[nnet.Parameter] = []
-        params: list[nnet.Parameter] = []
-        for l, c in enumerate(channels):
-            branch = c // 2
-            self.g1.append(nnet.init_mlp((3, config.g_hidden, branch), rng, f"l{l}.g1"))
-            if l == 0:  # over dilated-patch coordinates; checkpoints name it g2
-                h_widths, h_name = (3, config.g_hidden, branch), "l0.g2"
-            else:
-                h_widths, h_name = (channels[l - 1], branch, branch), f"l{l}.h"
-            self.h.append(nnet.init_mlp(h_widths, rng, h_name))
-            self.f.append(nnet.init_mlp((c, c, c), rng, f"l{l}.f"))
-            self.gcn_w.append(nnet.init_parameter(f"l{l}.gcn", (c, c), rng))
-            params += [*self.g1[l], *self.h[l], *self.f[l], self.gcn_w[l]]
-        self.clf = nnet.init_mlp((sum(channels), config.classifier_hidden, config.num_classes), rng, "clf")
-        self._params = nnet.ParameterSet(params + self.clf)
+        # Weights draw from the seed in creation order; biases start at zero.
+        self._params = nnet.ParameterSet(
+            nnet.Parameter(name, np.zeros(shape), np.zeros(shape))
+            if name.rpartition(".")[2].startswith("b")
+            else nnet.init_parameter(name, shape, rng)
+            for name, shape in parameter_shapes(config)
+        )
+        # One block per MLP or GCN weight, by name: four per level, then clf.
+        blocks = [list(b) for _, b in itertools.groupby(self._params, lambda p: p.name.rpartition(".")[0])]
+        self.g1, self.h, self.f, gcn = (blocks[i:-1:4] for i in range(4))
+        self.gcn_w = [w for (w,) in gcn]
+        self.clf = blocks[-1]
 
     def parameters(self) -> nnet.ParameterSet:
         """Every parameter in creation order, the order of checkpoints."""
@@ -192,23 +209,26 @@ def save_model(model: RiGcnModel, path) -> None:
 
 
 def load_model(path) -> RiGcnModel:
+    """The model a checkpoint holds, whose parameter names and shapes are
+    checked against ``parameter_shapes`` before the model allocates any."""
     config_dict, values = nnet.load_checkpoint(path)
     config = from_dict(RiGcnConfig, config_dict, f"{path}: config")
     try:
-        model = RiGcnModel(config)
+        shapes = dict(parameter_shapes(config))
     except ConfigError as e:  # the config parses but fails validate()
         raise ConfigError(f"{path}: config: {e}") from None
-    unknown = set(values) - {p.name for p in model.parameters()}
+    unknown = set(values) - set(shapes)
     if unknown:
         raise ValueError(f"checkpoint holds parameters the model lacks: {sorted(unknown)}: {path}")
-    for p in model.parameters():
-        if p.name not in values:
-            raise ValueError(f"checkpoint is missing parameter {p.name!r}: {path}")
-        if values[p.name].shape != p.value.shape:
+    for name, shape in shapes.items():
+        if name not in values:
+            raise ValueError(f"checkpoint is missing parameter {name!r}: {path}")
+        if values[name].shape != shape:
             raise ValueError(
-                f"checkpoint parameter {p.name!r} has shape {values[p.name].shape}, "
-                f"expected {p.value.shape}: {path}"
+                f"checkpoint parameter {name!r} has shape {values[name].shape}, expected {shape}: {path}"
             )
+    model = RiGcnModel(config)
+    for p in model.parameters():
         p.value[...] = values[p.name]
     return model
 
@@ -225,28 +245,26 @@ def draw_interval(bounds: tuple[int, int], count: int, rng: np.random.Generator 
 
 def _gather_patches(
     d2: np.ndarray,
-    order: np.ndarray,
-    pos: np.ndarray,
+    picks: np.ndarray,
     ks: np.ndarray,
     dilations: tuple[np.ndarray | int, ...],
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Member indices of many anchors' patches, one patch set per dilation.
 
-    ``d2`` holds each anchor's squared distances to every point, columns in
-    the canonical order ``order``, and ``pos`` is each anchor's column, as
-    ``geom.farthest_point_sampling`` returns them; these self entries are
-    set to inf in place. Each item of ``dilations`` is a per-anchor
-    array or a scalar d. Returns (offsets, one flat member array per
-    dilation), where the flat arrays index the points in input order and
-    patch i of every set spans ``offsets[i]:offsets[i + 1]``. Patch i holds
-    the members at positions 0, d, 2d, ... of the anchor's candidate list,
-    sorted by distance with the tie rule of ``geom.canonical_order``. A span
+    ``d2`` holds each anchor's squared distances to every point and
+    ``picks`` is each anchor's own column, as ``geom.farthest_point_sampling``
+    returns them; these self entries are set to inf in place. Each item of
+    ``dilations`` is a per-anchor array or a scalar d. Returns (offsets,
+    one flat member array per dilation), where the flat arrays index the
+    points and patch i of every set spans ``offsets[i]:offsets[i + 1]``.
+    Patch i holds the members at positions 0, d, 2d, ... of the anchor's
+    candidate list, sorted by distance, ties going to the lower index. A span
     ``(k - 1) * d`` past the n - 1 candidates clamps d to
     ``max(1, (n - 1) // k)``; if k still exceeds the candidates, the patch is
     padded by repeating the nearest one.
     """
     m, n = d2.shape
-    d2[np.arange(m), pos] = np.inf
+    d2[np.arange(m), picks] = np.inf
 
     # Per-anchor sorted-list positions; padding repeats position 0, so every
     # patch has exactly k members and gathers stay uniform.
@@ -262,7 +280,7 @@ def _gather_patches(
         cols.append(np.where(pos_in_seg < np.repeat(take, ks), pos_in_seg * np.repeat(d_eff, ks), 0))
 
     # Only a sorted prefix of each candidate list is ever consumed.
-    cand = order[geom.nearest_candidates(d2, max(int(c.max()) for c in cols) + 1)]
+    cand = geom.nearest_candidates(d2, max(int(c.max()) for c in cols) + 1)
     rows = np.repeat(np.arange(m), ks)
     return off, [cand[rows, c] for c in cols]
 
@@ -284,8 +302,10 @@ def _next_level(
     model: RiGcnModel, prev: DescriptorSet, rng: np.random.Generator | None
 ) -> DescriptorSet:
     """The level above ``prev``: one feature row per anchor, the cloud's FPS
-    picks or a level's first m points. Each anchor's plain k-NN patch,
-    projected onto its frame, feeds ``g1``. Above the cloud (no
+    picks or a level's first m points, in pick order. ``prev`` is in its tie
+    order (the laid-out cloud, or a level in pick order), so picks, patches
+    and graphs take the lower index among equal distances. Each anchor's plain
+    k-NN patch, projected onto its frame, feeds ``g1``. Above the cloud (no
     ``prev.features``) a dilated patch gives the frame (its PCA frame, or the
     identity under global frames, where the caller has rotated the whole cloud
     canonically) and its projection feeds ``h``; above a level each anchor
@@ -300,11 +320,11 @@ def _next_level(
     if m > len(prev.points):
         raise ConfigError(f"level {level} needs {m} points but its input has {len(prev.points)}")
     if prev.features is None:
-        sel, d2, pos = geom.farthest_point_sampling(prev.points, m, prev.order)
+        sel, d2 = geom.farthest_point_sampling(prev.points, m)
     else:  # FPS from a level's first point picks its first m points, in order
-        rank = np.argsort(prev.order, kind="stable")  # the default quicksort pages in ~0.25 MB more code
-        sel, d2, pos = np.arange(m), prev.block[:m, prev.order], rank[:m]
-    block = d2[:, pos]
+        # A copy: the gather below writes into d2, and prev's graph reads its block.
+        sel, d2 = np.arange(m), prev.block[:m].copy()
+    block = d2[:, sel]
     anchors = prev.points[sel]
     ks = draw_interval(cfg.k_range, m, rng if cfg.stochastic_k else None)
     # Levels 1+ draw dilations and do not use them: the draw keeps the
@@ -312,7 +332,7 @@ def _next_level(
     # checkpoint, as it has been.
     ds = draw_interval(cfg.d_range, m, rng if cfg.stochastic_d else None)
     dilations = (1, ds) if prev.features is None and (ds != 1).any() else (1,)
-    off, (flat, *dilated) = _gather_patches(d2, prev.order, pos, ks, dilations)
+    off, (flat, *dilated) = _gather_patches(d2, sel, ks, dilations)
     del d2  # the (m, N) rows are spent; the frames and MLPs run without them
     wide = dilated[0] if dilated else flat  # d = 1 throughout dilates nothing
     if prev.axes is not None:
@@ -329,14 +349,14 @@ def _next_level(
     h1 = nnet.pooled_mlp(model.g1[level], nnet.constant(proj), off)
     h2 = nnet.pooled_mlp(model.h[level], second, off)
     features = nnet.mlp(model.f[level], nnet.concat_cols([h1, h2]))
-    return DescriptorSet(level, anchors, axes, features, block, np.argsort(pos, kind="stable"))
+    return DescriptorSet(level, anchors, axes, features, block)
 
 
 def extract_descriptors(
     model: RiGcnModel, points: np.ndarray, rng: np.random.Generator | None = None
 ) -> DescriptorSet:
-    """Level-0 descriptors of a cloud, the level above it."""
-    cloud = DescriptorSet(-1, points, None, None, None, geom.canonical_order(points))
+    """Level-0 descriptors of a cloud, laid out in ``geom.canonical_order`` first."""
+    cloud = DescriptorSet(-1, points[geom.canonical_order(points)], None, None, None)
     return _next_level(model, cloud, rng)
 
 
@@ -356,7 +376,7 @@ def level_graph(
     top = len(desc.points) - 1
     bounds = (min(config.khat_range[0], top), min(config.khat_range[1], top))
     khat = int(draw_interval(bounds, 1, rng if config.stochastic_khat else None)[0])
-    return graph.build_knn_graph(desc.points, desc.block, khat, desc.order)
+    return graph.build_knn_graph(desc.points, desc.block, khat)
 
 
 def abstract_level(

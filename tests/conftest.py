@@ -10,11 +10,12 @@ def random_cloud(seed: int, n: int = 64) -> np.ndarray:
     return geom.normalize_unit_sphere(rng.normal(size=(n, 3)))
 
 
-def fps(points, m: int):
-    """``geom.farthest_point_sampling`` over a point set sorted first, as a
-    forward pass sorts the cloud."""
+def laid_out(points) -> np.ndarray:
+    """The points in ``geom.canonical_order``, as a forward lays out the
+    cloud: in the result, ties go to the lower index, which is the
+    coordinate order."""
     pts = geom.as_cloud(points)
-    return geom.farthest_point_sampling(pts, m, geom.canonical_order(pts))
+    return pts[geom.canonical_order(pts)]
 
 
 @pytest.fixture

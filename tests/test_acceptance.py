@@ -17,7 +17,6 @@ import pytest
 
 from rigcn import cli, data, geom, graph, model, nnet
 
-from conftest import fps
 from test_graph import knn_graph
 
 pytestmark = pytest.mark.slow
@@ -155,7 +154,7 @@ class TestCriterion5FpsApproximation:
             if m > n or m < 2:
                 continue
             pts = rng.normal(size=(n, 3))
-            sel, _, _ = fps(pts, m)
+            sel, _ = geom.farthest_point_sampling(pts, m)
             dist = lambda i, j: float(np.linalg.norm(pts[i] - pts[j]))
             fps_disp = min(dist(i, j) for i, j in itertools.combinations(sel.tolist(), 2))
             opt = max(

@@ -1,12 +1,17 @@
 import csv
 import importlib.util
+import io
 import json
+import shutil
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigcn import cli, data, geom, model, nnet
 
@@ -587,6 +592,117 @@ class TestEvaluate:
         assert message in err and str(bad) in err
         assert not (tmp_path / "out").exists()
 
+    def test_forward_too_large_to_allocate_exits_2_before_writing(self, trained, tmp_path, capsys):
+        # The level-0 patches of k = 2**54 are refused by numpy mid-forward;
+        # the output directory was once made before the forward ran.
+        bad = edited_checkpoint(trained[1], tmp_path / "bad.ckpt", lambda h: h["config"].update(k_range=[4, 2**55]))
+        cfg = write_config(tmp_path)
+        assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_header_config_too_large_to_allocate_exits_2_before_allocating(
+        self, trained, tmp_path, monkeypatch, capsys
+    ):
+        # Once "error: out of memory: Unable to allocate 21.8 TiB", naming
+        # neither the file nor the parameter: the model was built first.
+        def init_parameter(*args, **kwargs):
+            raise AssertionError("a parameter was allocated")
+
+        bad = edited_checkpoint(trained[1], tmp_path / "bad.ckpt", lambda h: h["config"].update(g_hidden=10**12))
+        monkeypatch.setattr(nnet, "init_parameter", init_parameter)
+        cfg = write_config(tmp_path)
+        assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"'l0.g1.w0' has shape (3, 6), expected (3, {10**12}): {bad}" in err
+        assert not (tmp_path / "out").exists()
+
+
+def _int_fields(config: dict) -> list[tuple[str, int | None]]:
+    """(key, list index or None) of every integer in a config echo."""
+    fields = []
+    for key, value in sorted(config.items()):
+        if type(value) is int:
+            fields.append((key, None))
+        elif isinstance(value, list):
+            fields += [(key, i) for i, v in enumerate(value) if type(v) is int]
+    return fields
+
+
+class TestCheckpointFuzz:
+    """Hostile checkpoints against the exit-code contract: ``evaluate``
+    exits 0, or exits 2 with one ``error:`` line and no output directory;
+    never 1 or 3, and never with an exception escaping ``main``."""
+
+    # Small and huge edits. A k between about 10**5 and 10**15 is left out:
+    # a forward allocates (level-0 size x k) patch indices, which may be
+    # granted and filled; 2**55 asks for more than any address space.
+    INTS = st.one_of(st.integers(-3, 80), st.sampled_from([2**55, 2**63 - 1, 2**63, 10**30]))
+
+    @pytest.fixture(scope="class")
+    def fuzz(self, trained):
+        """A directory with an evaluate config writing into ``out`` there,
+        the trained checkpoint's bytes and the end of its header."""
+        tmp = trained[2] / "fuzz"
+        tmp.mkdir()
+        blob = trained[1].read_bytes()
+        start = len(nnet.CHECKPOINT_MAGIC) + 8
+        header_end = start + int.from_bytes(blob[start - 8 : start], "little")
+        return tmp, write_config(tmp, out_dir=str(tmp / "out")), blob, header_end
+
+    @staticmethod
+    def evaluate(fuzz, blob: bytes) -> None:
+        tmp, cfg, _, _ = fuzz
+        ckpt = tmp / "fuzz.ckpt"
+        ckpt.write_bytes(blob)
+        shutil.rmtree(tmp / "out", ignore_errors=True)
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt), "--modes", "none"]
+        with np.errstate(all="ignore"), redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert not (tmp / "out").exists()
+
+    @given(drawn=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_byte_flips(self, fuzz, drawn):
+        _, _, blob, header_end = fuzz
+        # Half the flips land in the magic and the header, which are short.
+        where = st.one_of(st.integers(0, header_end - 1), st.integers(0, len(blob) - 1))
+        flips = drawn.draw(st.lists(st.tuples(where, st.integers(1, 255)), min_size=1, max_size=3))
+        edited = bytearray(blob)
+        for at, mask in flips:
+            edited[at] ^= mask
+        self.evaluate(fuzz, bytes(edited))
+
+    @given(drawn=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_truncation(self, fuzz, drawn):
+        blob = fuzz[2]
+        self.evaluate(fuzz, blob[: drawn.draw(st.integers(0, len(blob) - 1))])
+
+    @given(drawn=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_integer_edits_of_the_header_config(self, fuzz, drawn):
+        tmp, _, blob, header_end = fuzz
+        start = len(nnet.CHECKPOINT_MAGIC) + 8
+        fields = _int_fields(json.loads(blob[start:header_end])["config"])
+        edits = drawn.draw(st.lists(st.tuples(st.sampled_from(fields), self.INTS), min_size=1, max_size=2))
+
+        def edit(header):
+            for (key, index), value in edits:
+                if index is None:
+                    header["config"][key] = value
+                else:
+                    header["config"][key][index] = value
+
+        original = tmp / "original.ckpt"
+        original.write_bytes(blob)
+        self.evaluate(fuzz, edited_checkpoint(original, tmp / "edited.ckpt", edit).read_bytes())
+
 
 @pytest.mark.parametrize("command", ["evaluate", "robustness", "invariance-check", "export-graphs"])
 def test_non_finite_checkpoint_exits_2_before_writing(trained, tmp_path, capsys, command):
@@ -1032,7 +1148,7 @@ class TestBenchmarkHooks:
         n = len(clouds)
         per_cloud = {
             "fps_points": cfg.num_points,  # levels 1+ take a prefix of level 0's picks
-            "anchors": 3,  # len() of the one call's result
+            "anchors": 2,  # len() of the one call's result, (picks, rows)
             "lrf_frames": cfg.level_sizes[0],
             "graph_nodes": sum(cfg.level_sizes),
         }

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rigcn import geom
 
-from conftest import fps, random_cloud
+from conftest import laid_out, random_cloud
 
 
 class TestNormalizeUnitSphere:
@@ -54,17 +54,15 @@ class TestNormalizeUnitSphere:
 
 
 def brute_force_fps(points: np.ndarray, m: int, start: int | None = None) -> list[int]:
-    """Reference greedy max-min trace with the documented tie-break, from
-    the point ``start`` or, without one, the point farthest from the
-    centroid."""
+    """Reference greedy max-min trace with the documented tie-break, the
+    lower index, from the point ``start`` or, without one, the point
+    farthest from the centroid."""
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
 
     def pick(score, excluded):
         best = max(score[i] for i in range(n) if i not in excluded)
-        ties = [i for i in range(n) if i not in excluded and score[i] == best]
-        ties.sort(key=lambda i: (tuple(pts[i]), i))
-        return ties[0]
+        return min(i for i in range(n) if i not in excluded and score[i] == best)
 
     if start is None:
         centroid = pts.mean(axis=0)
@@ -92,35 +90,36 @@ def tie_heavy_cloud(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
 
 class TestFarthestPointSampling:
     def test_m_equals_n_selects_everything(self, cloud):
-        sel, _, _ = fps(cloud, len(cloud))
+        sel, _ = geom.farthest_point_sampling(cloud, len(cloud))
         assert sorted(sel) == list(range(len(cloud)))
 
     def test_single_pick_is_farthest_from_centroid(self):
         pts = [[0.0, 0, 0], [3.0, 0, 0], [1.0, 0, 0]]
-        assert fps(pts, 1)[0].tolist() == [1]
+        assert geom.farthest_point_sampling(pts, 1)[0].tolist() == [1]
 
     def test_collinear_hand_trace(self):
-        # x = 0..9; centroid tie between 0 and 9 resolved lexicographically,
+        # x = 0..9; centroid tie between 0 and 9 resolved by the lower index,
         # then 9, then 4 beats 5 on the tie at distance 4.
         pts = [[float(x), 0.0, 0.0] for x in range(10)]
-        sel, _, _ = fps(pts, 3)
+        sel, _ = geom.farthest_point_sampling(pts, 3)
         assert sel.tolist() == [0, 9, 4]
         assert sel.tolist() == brute_force_fps(pts, 3)[:3]
 
-    def test_ties_follow_the_given_order(self):
-        # The points are not sorted again: with the order reversed, the
-        # centroid tie between x = 0 and x = 9 and the later tie between 4
-        # and 5 go the other way.
-        pts = np.array([[float(x), 0.0, 0.0] for x in range(10)])
-        sel, _, pos = geom.farthest_point_sampling(pts, 3, np.arange(10)[::-1])
-        assert sel.tolist() == [9, 0, 5]
-        assert pos.tolist() == [0, 9, 4]
+    def test_ties_go_to_the_lower_index(self):
+        # The points are not sorted: with their rows reversed, the centroid
+        # tie between x = 0 and x = 9 and the later tie between 4 and 5 go
+        # to the lower index, so the other way in coordinates.
+        pts = np.array([[float(x), 0.0, 0.0] for x in range(10)])[::-1]
+        sel, _ = geom.farthest_point_sampling(pts, 3)
+        assert sel.tolist() == [0, 9, 4]
+        assert pts[sel, 0].tolist() == [9.0, 0.0, 5.0]
+        assert sel.tolist() == brute_force_fps(pts, 3)
 
     def test_m_out_of_range(self, cloud):
         with pytest.raises(ValueError):
-            fps(cloud, len(cloud) + 1)
+            geom.farthest_point_sampling(cloud, len(cloud) + 1)
         with pytest.raises(ValueError):
-            fps(cloud, 0)
+            geom.farthest_point_sampling(cloud, 0)
 
     @given(st.integers(0, 500), st.integers(1, 16))
     @settings(max_examples=40, deadline=None)
@@ -128,7 +127,7 @@ class TestFarthestPointSampling:
         # Dyadic coordinates keep the centroid and every distance exact in
         # both computations, so no rounding near-tie can flip a pick.
         pts = np.random.default_rng(seed).integers(-(2**20), 2**20 + 1, size=(16, 3)) / 2.0**20
-        sel, _, _ = fps(pts, m)
+        sel, _ = geom.farthest_point_sampling(pts, m)
         assert sel.tolist() == brute_force_fps(pts, m)
 
     @given(
@@ -143,13 +142,12 @@ class TestFarthestPointSampling:
         # rather than rounding accidents; at 2**-20 resolution the generic
         # cloud has no ties besides the centroid one that n=2 forces.
         rng = np.random.default_rng(seed)
-        pts = tie_heavy_cloud(rng, kind, n)
+        pts = laid_out(tie_heavy_cloud(rng, kind, n))
         m = int(rng.integers(1, n + 1))
-        sel, rows, _ = fps(pts, m)
+        sel, rows = geom.farthest_point_sampling(pts, m)
         assert sel.tolist() == brute_force_fps(pts, m)
         # One distance definition: the rows are the helper's, bitwise.
-        block = geom.squared_distances(pts)
-        np.testing.assert_array_equal(rows, block[sel][:, geom.canonical_order(pts)])
+        np.testing.assert_array_equal(rows, geom.squared_distances(pts)[sel])
 
     @given(
         st.integers(0, 10_000),
@@ -161,22 +159,20 @@ class TestFarthestPointSampling:
         # The prefix property levels 1+ rely on: FPS over the picks, from
         # the first pick, takes them in pick order, duplicates included.
         rng = np.random.default_rng(seed)
-        pts = tie_heavy_cloud(rng, kind, n)
+        pts = laid_out(tie_heavy_cloud(rng, kind, n))
         m1 = int(rng.integers(1, n + 1))
         m2 = int(rng.integers(1, m1 + 1))
-        sel, _, _ = fps(pts, m1)
+        sel, _ = geom.farthest_point_sampling(pts, m1)
         assert brute_force_fps(pts[sel], m2, start=0) == list(range(m2))
 
     def test_distance_rows(self):
         pts = random_cloud(4, 30)
-        order = geom.canonical_order(pts)
-        sel, d2, pos = geom.farthest_point_sampling(pts, 7, order)
+        sel, d2 = geom.farthest_point_sampling(pts, 7)
         assert d2.shape == (7, 30)
-        np.testing.assert_array_equal(order[pos], sel)
-        # The picks' own block is read at their positions.
-        np.testing.assert_array_equal(d2[:, pos], geom.squared_distances(pts[sel]))
+        # The picks' own block is read at their columns.
+        np.testing.assert_array_equal(d2[:, sel], geom.squared_distances(pts[sel]))
         for row, i in zip(d2, sel):
-            diff = pts[order] - pts[i]
+            diff = pts - pts[i]
             np.testing.assert_array_equal(row, np.einsum("ij,ij->i", diff, diff))
 
     @given(st.integers(0, 500))
@@ -184,8 +180,8 @@ class TestFarthestPointSampling:
     def test_rotation_invariance(self, seed):
         pts = random_cloud(seed, 40)
         rot = geom.random_rotation(np.random.default_rng(seed + 1), "so3")
-        a, _, _ = fps(pts, 10)
-        b, _, _ = fps(geom.rotate(pts, rot), 10)
+        a, _ = geom.farthest_point_sampling(pts, 10)
+        b, _ = geom.farthest_point_sampling(geom.rotate(pts, rot), 10)
         assert a.tolist() == b.tolist()
 
     @given(st.integers(0, 500))
@@ -193,8 +189,8 @@ class TestFarthestPointSampling:
     def test_permutation_invariance(self, seed):
         pts = random_cloud(seed, 30)
         perm = np.random.default_rng(seed + 7).permutation(len(pts))
-        sel, _, _ = fps(pts, 8)
-        sel_perm, _, _ = fps(pts[perm], 8)
+        sel, _ = geom.farthest_point_sampling(pts, 8)
+        sel_perm, _ = geom.farthest_point_sampling(pts[perm], 8)
         # index i in the permuted cloud refers to original point perm[i]
         assert perm[sel_perm].tolist() == sel.tolist()
 
@@ -206,7 +202,7 @@ class TestFarthestPointSampling:
             if m > n:
                 continue
             pts = rng.normal(size=(n, 3))
-            sel, _, _ = fps(pts, m)
+            sel, _ = geom.farthest_point_sampling(pts, m)
             d = lambda i, j: np.linalg.norm(pts[i] - pts[j])
             fps_disp = min(d(i, j) for i, j in itertools.combinations(sel, 2))
             opt = max(
@@ -231,14 +227,14 @@ def scan_sized_cloud(kind: str, n: int = 1024) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def anchor_rows():
-    """Per cloud kind: the cloud, 128 FPS picks, their (128, 1024) distance
-    rows with each pick's own entry at inf, and every pick's full
+    """Per cloud kind: the laid-out cloud, 128 FPS picks, their (128, 1024)
+    distance rows with each pick's own entry at inf, and every pick's full
     ``sorted_candidates`` list, computed once for the module."""
     out = {}
     for kind in ("generic", "grid", "duplicates"):
-        pts = scan_sized_cloud(kind)
-        picks, rows, pos = fps(pts, 128)
-        rows[np.arange(len(picks)), pos] = np.inf
+        pts = laid_out(scan_sized_cloud(kind))
+        picks, rows = geom.farthest_point_sampling(pts, 128)
+        rows[np.arange(len(picks)), picks] = np.inf
         ref = np.array([geom.sorted_candidates(pts, int(a)) for a in picks])
         out[kind] = pts, rows, ref
     return out
@@ -252,7 +248,7 @@ class TestNearestCandidates:
         n = rows.shape[1]
         step = geom._PARTITION_ENTRIES // n
         assert step < len(rows), "the rows must span several partition blocks"
-        got = geom.canonical_order(pts)[geom.nearest_candidates(rows, count)]
+        got = geom.nearest_candidates(rows, count)
         np.testing.assert_array_equal(got, ref[:, :count])
         if kind != "generic" and count < n - 2:
             cut = np.sort(rows, axis=1)[:, count - 1 : count + 1]
@@ -269,13 +265,12 @@ class TestNearestCandidates:
             rng = np.random.default_rng(12)
             half = rng.normal(size=(96, 3))
             half[::7, 2] = half[::7, 1]
-            pts = np.vstack([half, half[:, [0, 2, 1]]])
+            pts = laid_out(np.vstack([half, half[:, [0, 2, 1]]]))
         else:
             pts = anchor_rows[kind][0]
         block = geom.squared_distances(pts)
-        rank = np.argsort(geom.canonical_order(pts))
         for anchor in range(0, len(pts), 7):
-            order = np.lexsort((rank, block[anchor]))
+            order = np.lexsort((np.arange(len(pts)), block[anchor]))
             np.testing.assert_array_equal(geom.sorted_candidates(pts, anchor), order[order != anchor])
 
     def test_scratch_stays_bounded(self, anchor_rows):
@@ -295,7 +290,8 @@ class TestNearestCandidates:
 
 def dilated_knn(points, anchor: int, k: int, d: int) -> np.ndarray:
     """Reference neighbors of one anchor: positions 0, d, 2d, ... of its
-    distance-sorted candidate list (``geom.sorted_candidates``).
+    distance-sorted candidate list (``geom.sorted_candidates``), ties going
+    to the lower index.
 
     A span past the candidate list clamps the dilation to
     ``max(1, n_candidates // k)``; if the cloud is smaller than k + 1, the
@@ -352,14 +348,15 @@ def patch_axes(points, anchor: int, members) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def level0_patches():
-    """Per cloud kind, the level-0 frame input of a 512-point cloud: the
-    12-NN patches of 128 FPS picks, flat, with their offsets and anchors."""
+    """Per cloud kind, the level-0 frame input of a laid-out 512-point
+    cloud: the 12-NN patches of 128 FPS picks, flat, with their offsets and
+    anchors."""
     out = {}
     for kind in ("generic", "grid", "duplicates"):
-        pts = scan_sized_cloud(kind, 512)
-        picks, rows, pos = fps(pts, 128)
-        rows[np.arange(len(picks)), pos] = np.inf
-        members = geom.canonical_order(pts)[geom.nearest_candidates(rows, 12)]
+        pts = laid_out(scan_sized_cloud(kind, 512))
+        picks, rows = geom.farthest_point_sampling(pts, 128)
+        rows[np.arange(len(picks)), picks] = np.inf
+        members = geom.nearest_candidates(rows, 12)
         out[kind] = pts[members.ravel()], np.arange(0, members.size + 1, 12), pts[picks]
     return out
 

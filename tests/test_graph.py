@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 
 from rigcn import geom, graph, model
 
-from conftest import random_cloud, tiny_config
+from conftest import laid_out, random_cloud, tiny_config
 
 
 def knn_graph(pts, khat):
     """The graph weights over a point set, given its distances from the
-    helper and its canonical order."""
+    helper; ties go to the lower index."""
     pts = geom.as_cloud(pts)
-    return graph.build_knn_graph(pts, geom.squared_distances(pts), khat, geom.canonical_order(pts))
+    return graph.build_knn_graph(pts, geom.squared_distances(pts), khat)
 
 
 def dense_renormalize_oracle(weights: np.ndarray) -> np.ndarray:
@@ -82,6 +82,8 @@ def grid(nx, ny, nz, seed):
 
 
 def tie_cloud(kind, n=40):
+    """A cloud of one kind, in its seeded row order (lay it out to compare
+    with the coordinate order)."""
     rng = np.random.default_rng(3)
     if kind == "generic":
         return random_cloud(3, n)
@@ -99,7 +101,7 @@ class TestTiesAtTheCut:
     @staticmethod
     def build(monkeypatch, pts, khat):
         """Build the graph; return its neighbor lists as point indices, its
-        weights, and the distances its ranking saw, columns in input order."""
+        weights, and the distances its ranking saw."""
         seen = []
         inner = geom.nearest_candidates
 
@@ -112,10 +114,15 @@ class TestTiesAtTheCut:
         g = knn_graph(pts, khat)
         monkeypatch.undo()
         ((ranked_d2, nbrs),) = seen
-        order = geom.canonical_order(pts)
-        return order[nbrs], g, ranked_d2[:, np.argsort(order)]
+        return nbrs, g, ranked_d2
 
-    def check_lists(self, monkeypatch, pts, khat):
+    def check_lists(self, monkeypatch, cloud, khat):
+        # Laid out, the lower index is the lower (x, y, z); in the seeded row
+        # order it is not, as in a level's pick order.
+        for pts in (laid_out(cloud), cloud):
+            self.check_set(monkeypatch, pts, khat)
+
+    def check_set(self, monkeypatch, pts, khat):
         block = geom.squared_distances(pts)
         nbrs, weights, ranked_d2 = self.build(monkeypatch, pts, khat)
         expected = np.array([geom.sorted_candidates(pts, i)[:khat] for i in range(len(pts))])
@@ -152,7 +159,7 @@ class TestTiesAtTheCut:
     def test_heavy_ties_at_the_grid_centre(self, monkeypatch, khat):
         # Around the centre of a 5x5x5 grid, 6, 12 and 8 candidates tie at
         # distances 1, sqrt(2) and sqrt(3); each khat cuts inside one group.
-        pts = grid(5, 5, 5, 4)
+        pts = laid_out(grid(5, 5, 5, 4))
         nbrs, _, _ = self.build(monkeypatch, pts, khat)
         centre = int(np.flatnonzero((pts == 2).all(axis=1))[0])
         expected = np.array([geom.sorted_candidates(pts, i)[:khat] for i in range(len(pts))])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rigcn import cli, data, environment, geom, graph, model, nnet
 
-from conftest import fps, random_cloud, tiny_config
+from conftest import laid_out, random_cloud, tiny_config
 from test_geom import brute_force_fps, dilated_knn
 from test_graph import knn_graph
 
@@ -23,13 +23,19 @@ def tiny_net(**overrides):
     return model.RiGcnModel(tiny_config(**overrides))
 
 
+def desk_grid_cloud(num_points: int) -> np.ndarray:
+    """An SO(3)-rotated generic cloud snapped to a 1/32 grid, whose exact
+    distance ties decide patch and graph cuts: the grid cloud of
+    ``test_inference_is_pinned``."""
+    rotation = geom.random_rotation(np.random.default_rng(3), "so3")
+    return np.round(geom.rotate(random_cloud(3, num_points), rotation) * 32) / 32
+
+
 def gather(pts, anchors, ks, ds):
-    """Patch gather fed as FPS feeds it: anchor rows with canonical columns.
+    """Patch gather fed as FPS feeds it: the anchors' distance rows.
     Returns (flat_knn, offsets, flat_dilated, offsets)."""
-    order = geom.canonical_order(pts)
-    pos = np.argsort(order)[anchors]
-    d2 = geom.squared_distances(pts)[anchors][:, order]
-    off, (flat1, flatd) = model._gather_patches(d2, order, pos, ks, (1, ds))
+    d2 = geom.squared_distances(pts)[anchors]
+    off, (flat1, flatd) = model._gather_patches(d2, anchors, ks, (1, ds))
     return flat1, off, flatd, off
 
 
@@ -70,6 +76,16 @@ class TestConfig:
     def test_empty_or_nonpositive_interval_rejected(self, field, bounds):
         with pytest.raises(model.ConfigError):
             tiny_config(**{field: bounds}).validate()
+
+    @pytest.mark.parametrize(
+        "ranges", [{"k_range": (4, 2**59)}, {"d_range": (1, 2**61)}, {"d_range": (1, 10**30)}]
+    )
+    def test_patch_indices_must_fit_in_int64(self, ranges):
+        # Once a segfault in np.repeat, an OverflowError or an IndexError.
+        with pytest.raises(model.ConfigError, match="overflow int64 patch indices"):
+            tiny_config(**ranges).validate()
+        tiny_config(k_range=(4, 2**58)).validate()
+        tiny_config(d_range=(1, 2**60)).validate()
 
     @pytest.mark.parametrize("k_range", [(1, 4), (2, 2)])
     def test_local_frames_need_three_points_per_patch(self, k_range):
@@ -131,14 +147,15 @@ class TestExtractDescriptors:
         # candidate prefix, duplicate it, and expect bitwise equality
         net = tiny_net(levels=1, level_sizes=(6,), channels=(8,), k_range=(3, 3), d_range=(1, 1))
         pts = random_cloud(3, 64)
-        sel, _, _ = fps(pts, 6)
+        cloud = laid_out(pts)
+        sel, _ = geom.farthest_point_sampling(cloud, 6)
         used = set(sel.tolist())
         for anchor in sel:
-            cand = geom.sorted_candidates(pts, int(anchor))
+            cand = geom.sorted_candidates(cloud, int(anchor))
             used.update(cand[: 2 * 1 + 2].tolist())
-        free = [i for i in range(len(pts)) if i not in used]
+        free = [i for i in range(len(cloud)) if i not in used]
         assert free, "fixture cloud leaves no unused point; pick another seed"
-        bigger = np.vstack([pts, pts[free[0]]])
+        bigger = np.vstack([pts, cloud[free[0]]])
         a = model.extract_descriptors(net, pts)
         b = model.extract_descriptors(net, bigger)
         np.testing.assert_array_equal(a.features.value, b.features.value)
@@ -161,7 +178,7 @@ class TestExtractDescriptors:
 
     def test_patch_gather_matches_on_tie_heavy_grid(self):
         xs = np.arange(5, dtype=np.float64)
-        pts = np.array([[x, y, 0.0] for x in xs for y in xs])
+        pts = laid_out([[x, y, 0.0] for x in xs for y in xs])
         anchors = np.arange(len(pts))
         ks = np.full(len(pts), 4)
         ds = np.full(len(pts), 2)
@@ -179,12 +196,11 @@ class TestExtractDescriptors:
         # points, so the last used position ties with unused candidates.
         pts = np.array([[x, y, z] for x in range(4) for y in range(4) for z in range(3)], float)
         pts = np.vstack([pts, pts[17]])
-        pts = pts[np.random.default_rng(2).permutation(len(pts))]
-        order = geom.canonical_order(pts)
-        sel, d2, pos = geom.farthest_point_sampling(pts, 12, order)
+        pts = laid_out(pts[np.random.default_rng(2).permutation(len(pts))])
+        sel, d2 = geom.farthest_point_sampling(pts, 12)
         ks = np.full(len(sel), k)
         ds = np.full(len(sel), d)
-        off1, (flat1, flatd) = model._gather_patches(d2, order, pos, ks, (1, ds))
+        off1, (flat1, flatd) = model._gather_patches(d2, sel, ks, (1, ds))
         offd = off1
         for i, a in enumerate(sel):
             knn = dilated_knn(pts, int(a), k, 1)
@@ -199,7 +215,7 @@ class TestExtractDescriptors:
         # distances 1, sqrt(2) and sqrt(3); each used prefix (k for the k-NN
         # patch, (k - 1) * d + 1 for the dilated one) ends inside one group.
         pts = np.array([[x, y, z] for x in range(5) for y in range(5) for z in range(5)], float)
-        pts = pts[np.random.default_rng(4).permutation(len(pts))]
+        pts = laid_out(pts[np.random.default_rng(4).permutation(len(pts))])
         anchors = np.arange(len(pts))
         ks = np.full(len(pts), k)
         ds = np.full(len(pts), d)
@@ -234,12 +250,12 @@ class TestExtractDescriptors:
         desc = model.extract_descriptors(net, cloud)
         assert dilations == [1 if dilated_anchor is None else 2]
         # The dilated patch gathered on its own, from the same FPS rows.
-        order = geom.canonical_order(cloud)
-        _, rows, pos = geom.farthest_point_sampling(cloud, m, order)
-        off, (_, wide) = gather_patches(rows, order, pos, np.full(m, k), (1, ds))
-        axes = geom.lrf_axes_batch(cloud[wide], off, desc.points)
+        pts = laid_out(cloud)
+        picks, rows = geom.farthest_point_sampling(pts, m)
+        off, (_, wide) = gather_patches(rows, picks, np.full(m, k), (1, ds))
+        axes = geom.lrf_axes_batch(pts[wide], off, desc.points)
         np.testing.assert_array_equal(desc.axes.view(np.int64), axes.view(np.int64))
-        want = model._project_segments(cloud, wide, off, desc.points, axes)
+        want = model._project_segments(pts, wide, off, desc.points, axes)
         np.testing.assert_array_equal(inputs[1].view(np.int64), want.view(np.int64))
         assert np.array_equal(inputs[0], inputs[1]) == (dilated_anchor is None)
 
@@ -253,7 +269,8 @@ class TestQuantizedScan:
         rng = np.random.default_rng(5)
         cube = geom.normalize_unit_sphere(data.FAMILIES["cube"](rng, 1024))
         rotated = geom.rotate(cube, geom.random_rotation(rng, "so3"))
-        pts = np.round(rotated * 32) / 32
+        grid = np.round(rotated * 32) / 32
+        doubled = np.vstack([cube[::2], cube[::2]])  # every point twice
         net = tiny_net(
             num_points=1024,
             levels=3,
@@ -263,10 +280,52 @@ class TestQuantizedScan:
             d_range=(1, 2),
             khat_range=(4, 8),
         )
-        out = model.logits(net, pts)
-        assert np.all(np.isfinite(out))
-        perm = rng.permutation(len(pts))
-        np.testing.assert_array_equal(model.logits(net, pts[perm]), out)
+        for pts in (grid, doubled):
+            out = model.logits(net, pts)
+            assert np.all(np.isfinite(out))
+            perm = rng.permutation(len(pts))
+            np.testing.assert_array_equal(model.logits(net, pts[perm]), out)
+
+
+def by_distance_then_index(row: np.ndarray, anchor: int) -> np.ndarray:
+    """The other points ranked by (distance in ``row``, index)."""
+    order = np.lexsort((np.arange(len(row)), row))
+    return order[order != anchor]
+
+
+class TestTieRuleAtLevels:
+    def test_level_patches_and_graphs_rank_by_distance_then_pick_index(self, monkeypatch):
+        # A level's points are in pick order, so among equal distances its
+        # patches and its graph take the lower pick index. On this grid
+        # cloud exact ties decide cuts, so the rule is what is tested.
+        desk = cli.load_experiment_config(ROOT / "configs" / "desk.json").model
+        net = model.RiGcnModel(desk)
+        gathered, gather_patches = [], model._gather_patches
+        monkeypatch.setattr(model, "_gather_patches", lambda *a: gathered.append(gather_patches(*a)) or gathered[-1])
+        descs = model.level_descriptors(net, desk_grid_cloud(desk.num_points))
+        monkeypatch.undo()
+        assert len(gathered) == len(descs) == 3
+        k = (desk.k_range[0] + desk.k_range[1]) // 2
+        tied_cuts = 0
+        for prev, desc, (off, (flat,)) in zip(descs, descs[1:], gathered[1:]):
+            np.testing.assert_array_equal(desc.points, prev.points[: len(desc.points)])
+            for i in range(len(desc.points)):
+                ranked = by_distance_then_index(prev.block[i], i)
+                np.testing.assert_array_equal(flat[off[i] : off[i + 1]], ranked[:k])
+                tied_cuts += int(prev.block[i, ranked[k - 1]] == prev.block[i, ranked[k]])
+        for desc in descs:
+            n = len(desc.points)
+            khat = (min(desk.khat_range[0], n - 1) + min(desk.khat_range[1], n - 1)) // 2
+            ranked = np.array([by_distance_then_index(desc.block[i], i) for i in range(n)])
+            nbrs = ranked[:, :khat]
+            sel_d2 = desc.block[np.arange(n)[:, None], nbrs]
+            sigma = np.sqrt(sel_d2).mean()
+            directed = np.zeros((n, n))
+            directed[np.arange(n)[:, None], nbrs] = np.exp(-sel_d2 / (2.0 * sigma * sigma))
+            np.testing.assert_array_equal(model.level_graph(desk, desc), np.maximum(directed, directed.T))
+            cut = desc.block[np.arange(n)[:, None], ranked[:, khat - 1 : khat + 1]]
+            tied_cuts += int((cut[:, 0] == cut[:, 1]).sum())
+        assert tied_cuts > 0, "no exact tie decides a cut; the test would pass vacuously"
 
 
 class TestExtendDescriptors:
@@ -328,7 +387,6 @@ class TestAbstractLevel:
             axes=desc.axes[perm],
             features=nnet.constant(desc.features.value[perm]),
             block=desc.block[np.ix_(perm, perm)],
-            order=geom.canonical_order(desc.points[perm]),
         )
         out_p = model.abstract_level(tiny_model, permuted)
         np.testing.assert_allclose(out.value, out_p.value, atol=1e-12)
@@ -362,7 +420,6 @@ class TestAbstractLevel:
             axes=np.broadcast_to(np.eye(3), (2, 3, 3)).copy(),
             features=nnet.constant(np.hstack([feats, np.zeros((2, 1))])),
             block=geom.squared_distances(pts),
-            order=geom.canonical_order(pts),
         )
         out_gcn = model.abstract_level(gcn_net, desc).value[0, 0]
         out_mlp = model.abstract_level(mlp_net, desc).value[0, 0]
@@ -378,7 +435,6 @@ class TestAbstractLevel:
             axes=np.eye(3)[None],
             features=nnet.constant(np.zeros((1, 8))),
             block=np.zeros((1, 1)),
-            order=np.zeros(1, dtype=np.int64),
         )
         with pytest.raises(graph.DegenerateGraphError):
             model.abstract_level(tiny_model, desc)
@@ -393,7 +449,7 @@ class TestLevelGraph:
         return net.config, model.level_descriptors(net, random_cloud(1, 64))[index]
 
     def build(self, desc, khat):
-        return graph.build_knn_graph(desc.points, desc.block, khat, desc.order)
+        return graph.build_knn_graph(desc.points, desc.block, khat)
 
     def test_stochastic_khat_is_drawn_from_the_generator(self):
         cfg, desc = self.level(0, khat_range=(2, 8))
@@ -476,25 +532,25 @@ class TestForward:
             assert np.isfinite(model.logits(net, cloud)).all()
 
     def test_each_point_set_is_sorted_once(self, monkeypatch):
-        # A desk forward sorts only the cloud; each level's order is its
-        # points' positions in the order below, read by its graph and the
-        # next level's gather.
+        # A desk forward sorts only the cloud, which it lays out in that
+        # order before FPS; each level keeps its points in pick order.
         desk = cli.load_experiment_config(ROOT / "configs" / "desk.json").model
         pts = random_cloud(0, desk.num_points)
         net = model.RiGcnModel(desk)
-        sorted_sets = []
-        canonical_order = geom.canonical_order
+        sorted_sets, sampled = [], []
+        canonical_order, fps = geom.canonical_order, geom.farthest_point_sampling
 
         def count(points):
             sorted_sets.append(len(points))
             return canonical_order(points)
 
         monkeypatch.setattr(geom, "canonical_order", count)
+        monkeypatch.setattr(geom, "farthest_point_sampling", lambda p, m: sampled.append(p) or fps(p, m))
         model.logits(net, pts)
         assert sorted_sets == [desk.num_points]
         monkeypatch.undo()
-        for desc in model.level_descriptors(net, pts):
-            np.testing.assert_array_equal(desc.order, geom.canonical_order(desc.points))
+        (cloud,) = sampled
+        np.testing.assert_array_equal(cloud, pts[geom.canonical_order(pts)])
 
     def test_stochastic_forward_is_seeded(self, cloud, tiny_model):
         a = model.forward(tiny_model, cloud, np.random.default_rng(3)).value
@@ -765,8 +821,8 @@ class TestTrainEvaluate:
     @pytest.mark.parametrize(
         "d_range, pinned",
         [
-            ((1, 2), "da9ecdead53be0f8cf205b572dab5319fbc9cce0bfdf4c9c91def3e7748358f1"),
-            ((2, 2), "7b437919bf16ac5de136148a034d2affdf0b2889176a1b6430f1641f505927de"),
+            ((1, 2), "d2b067e19d26caf1aaa34dd411f7b920f53c09ecc262c70d443e4e13c3f1146b"),
+            ((2, 2), "d10b0dd363d75c0fbee134a4c8ffc0c361a7d1f1b2b7a2fca6ffd45b674db7a2"),
         ],
         ids=["desk", "dilated"],
     )
@@ -778,9 +834,7 @@ class TestTrainEvaluate:
         desk = cli.load_experiment_config(ROOT / "configs" / "desk.json").model
         net = model.RiGcnModel(replace(desk, d_range=d_range))
         clouds = [random_cloud(s, desk.num_points) for s in range(3)]
-        rotation = geom.random_rotation(np.random.default_rng(3), "so3")
-        rotated = geom.rotate(random_cloud(3, desk.num_points), rotation)
-        clouds.append(np.round(rotated * 32) / 32)
+        clouds.append(desk_grid_cloud(desk.num_points))
         digest = hashlib.sha256(b"".join(model.logits(net, c).astype("<f8").tobytes() for c in clouds))
         self._assert_pinned(digest.hexdigest(), pinned)
 
@@ -883,6 +937,16 @@ class TestCheckpointRoundTrip:
         assert raw[15 : 15 + size].decode() == CHECKPOINT_HEADER
         n_values = sum(p.value.size for p in net.parameters())
         assert len(raw) == 15 + size + 8 * n_values == 4675
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"abstraction": "mlp"}, {"levels": 1, "level_sizes": (24,), "channels": (8,)}],
+        ids=["tiny", "mlp", "one_level"],
+    )
+    def test_parameter_shapes_are_the_models(self, overrides):
+        cfg = tiny_config(**overrides)
+        want = [(p.name, p.value.shape) for p in model.RiGcnModel(cfg).parameters()]
+        assert model.parameter_shapes(cfg) == want
 
     def test_parameters_stay_views_of_the_flat_buffers(self, tmp_path, tiny_model):
         path = tmp_path / "m.ckpt"
